@@ -700,8 +700,17 @@ let verify_flat_parallel ~run u (spec : Ta.Spec.t) =
    discharged with the same flat [solve_schema] on the same finalized
    query as the flat engine, so verdicts, witnesses and the deciding
    schema's enumeration index are bit-identical; pruned subtrees are
-   walked in a counting-only mode so budgets trip at the same position
-   and the skipped schemas' slot totals still add up. *)
+   counted in closed form (see [count_subtree]) so budgets trip at the
+   same position and the skipped schemas' slot totals still add up. *)
+
+(* Closed-form subtree totals (schema counts and slot sums), memoised
+   per run and per domain: the tables are not domain-safe, and are
+   dropped with the run. *)
+type totals = { tree : Schema.tree; slot_memo : Encode.Sim.memo }
+
+let new_totals u spec =
+  let tree = Schema.tree u spec in
+  { tree; slot_memo = Encode.Sim.memo tree }
 
 (* Mutable per-run (sequential) or per-job (parallel) tally.  [position]
    is the global enumeration index — checked and skipped schemas both
@@ -738,9 +747,10 @@ type inc_tally = {
   portfolio : Smt.Portfolio.handle option;
       (* leaf discharge cache handle; [None] reproduces the uncached
          engine exactly *)
+  totals : totals;
 }
 
-let new_tally ?portfolio ~start ~resume_from () =
+let new_tally ?portfolio ~totals ~start ~resume_from () =
   {
     position = start;
     start;
@@ -760,6 +770,7 @@ let new_tally ?portfolio ~start ~resume_from () =
     decided_at = None;
     abort_msg = None;
     portfolio;
+    totals;
   }
 
 (* Whether the current position's statistics belong to this slice. *)
@@ -777,37 +788,64 @@ let check_budget ~run c =
     Some (budget_messages ~max_schemas_hit:true ~schemas:c.position ~budget:0.0)
   else deadline_message run ~position:c.position
 
+(* Account the [n] positions from [c.position] on as skipped, with slot
+   total [slots ()], in one journal note after one deadline check.
+   Answers [false], leaving [c] untouched, when the span straddles the
+   resume frontier or reaches the schema budget; a span wholly below
+   the frontier is fast-forwarded. *)
+let skip_span ~run c ~n ~slots =
+  let p = c.position in
+  if n = 0 || n <= c.resume_from - p then begin
+    c.position <- p + n;
+    true
+  end
+  else if p < c.resume_from || n > run.r_limits.max_schemas - p then false
+  else begin
+    (match deadline_message run ~position:p with
+    | Some msg -> c.abort_msg <- Some msg
+    | None ->
+      let slots = slots () in
+      c.position <- p + n;
+      c.skipped <- c.skipped + n;
+      c.slots <- c.slots + slots;
+      let d =
+        Journal.add_delta c.pending
+          { Journal.zero_delta with d_skipped = n; d_slots = slots }
+      in
+      c.pending <- Journal.zero_delta;
+      Journal.Tracker.note run.r_tracker ~start:p ~span:n d);
+    true
+  end
+
 (* Account a pruned subtree without solving: advance the enumeration
-   position, apply the budget checks at every skipped schema (so aborts
-   land exactly where the flat engine's would), and accumulate the slots
-   each skipped schema would have had, via the slot simulation. *)
-let count_subtree ~run u spec sim0 c ~ctx ~obs_mask =
-  let sims = ref [ sim0 ] in
-  ignore
-    (Schema.walk u spec ~ctx ~obs_mask
-       ~on_enter:(fun ev ->
-         sims := Encode.Sim.push_event (List.hd !sims) ev :: !sims;
-         `Descend)
-       ~on_leave:(fun _ -> sims := List.tl !sims)
-       ~on_schema:(fun () ->
-         if not (accruing c) then begin
-           c.position <- c.position + 1;
-           true
-         end
-         else
-           match check_budget ~run c with
-           | Some msg ->
-             c.abort_msg <- Some msg;
-             false
-           | None ->
-             let slots = Encode.Sim.leaf_slots (List.hd !sims) in
-             c.position <- c.position + 1;
-             c.skipped <- c.skipped + 1;
-             c.slots <- c.slots + slots;
-             note_position ~run c
-               { Journal.zero_delta with d_skipped = 1; d_slots = slots };
-             true)
-       ())
+   position past its schemas and accumulate the slots each would have
+   had, in closed form from the memoised totals.  A subtree straddling
+   the resume frontier or the schema budget is split: its own schema,
+   then each child in preorder, descending only into the children that
+   straddle, so budget aborts land exactly where the flat engine's
+   would. *)
+let rec count_subtree ~run sim c ~ctx ~obs_mask =
+  let t = c.totals in
+  let n = Schema.size t.tree ~ctx ~obs_mask in
+  if
+    not
+      (skip_span ~run c ~n ~slots:(fun () ->
+           Encode.Sim.subtree_slots t.slot_memo sim ~obs_mask))
+  then begin
+    (* A single position straddles only when it lies at or past the
+       schema budget. *)
+    if
+      Schema.is_schema t.tree ~obs_mask
+      && not (skip_span ~run c ~n:1 ~slots:(fun () -> Encode.Sim.leaf_slots sim))
+    then
+      c.abort_msg <-
+        Some (budget_messages ~max_schemas_hit:true ~schemas:c.position ~budget:0.0);
+    List.iter
+      (fun (ev, ctx, obs_mask) ->
+        if c.abort_msg = None then
+          count_subtree ~run (Encode.Sim.push_event sim ev) c ~ctx ~obs_mask)
+      (Schema.children t.tree ~ctx ~obs_mask)
+  end
 
 (* The incremental DFS over the subtree rooted at the sessions' current
    prefix (whose reachability the caller has already established). *)
@@ -866,7 +904,7 @@ let run_inc_subtree ~run u spec es lia c ~prefix_rev ~ctx0 ~obs0 =
                if run.r_certs = None then [] else Encode.prefix_atoms es
              in
              let p0 = c.position in
-             count_subtree ~run u spec sim c ~ctx:ctx' ~obs_mask:obs';
+             count_subtree ~run sim c ~ctx:ctx' ~obs_mask:obs';
              (match run.r_certs with
              | Some sink when c.position > p0 ->
                Certs.emit_prefix sink ~position:p0 ~span:(c.position - p0) atoms
@@ -897,7 +935,7 @@ let run_inc_subtree ~run u spec es lia c ~prefix_rev ~ctx0 ~obs0 =
              end;
              let sim = Encode.Sim.push_event (Encode.Sim.of_session es) ev in
              let p0 = c.position in
-             count_subtree ~run u spec sim c ~ctx:ctx' ~obs_mask:obs';
+             count_subtree ~run sim c ~ctx:ctx' ~obs_mask:obs';
              (match run.r_certs with
              | Some sink when c.position > p0 ->
                Certs.emit_static sink ~position:p0 ~span:(c.position - p0)
@@ -967,7 +1005,7 @@ let run_inc_subtree ~run u spec es lia c ~prefix_rev ~ctx0 ~obs0 =
                Smt.Lia.pop lia;
                Encode.pop_event es;
                let p0 = c.position in
-               count_subtree ~run u spec sim c ~ctx:ctx' ~obs_mask:obs';
+               count_subtree ~run sim c ~ctx:ctx' ~obs_mask:obs';
                (match run.r_certs with
                | Some sink when c.position > p0 ->
                  Certs.emit_prefix sink ~position:p0 ~span:(c.position - p0) atoms
@@ -1102,7 +1140,7 @@ let run_inc_job ~run u spec c ~prefix ~ctx ~obs_mask =
     end;
     let sim = List.fold_left Encode.Sim.push_event (Encode.Sim.start u spec) prefix in
     let p0 = c.position in
-    count_subtree ~run u spec sim c ~ctx ~obs_mask;
+    count_subtree ~run sim c ~ctx ~obs_mask;
     (match run.r_certs with
     | Some sink when c.position > p0 ->
       Certs.emit_static sink ~position:p0 ~span:(c.position - p0)
@@ -1145,7 +1183,7 @@ let run_inc_job ~run u spec c ~prefix ~ctx ~obs_mask =
     end;
     let atoms = if run.r_certs = None then [] else Encode.prefix_atoms es in
     let p0 = c.position in
-    count_subtree ~run u spec (Encode.Sim.of_session es) c ~ctx ~obs_mask;
+    count_subtree ~run (Encode.Sim.of_session es) c ~ctx ~obs_mask;
     (match run.r_certs with
     | Some sink when c.position > p0 ->
       Certs.emit_prefix sink ~position:p0 ~span:(c.position - p0) atoms
@@ -1164,7 +1202,10 @@ let inc_outcome c ~complete ~worker =
 
 let verify_incremental_sequential ~run u (spec : Ta.Spec.t) =
   let t0 = Unix.gettimeofday () in
-  let c = new_tally ?portfolio:(pf_handle run) ~start:0 ~resume_from:run.r_resume_from () in
+  let c =
+    new_tally ?portfolio:(pf_handle run) ~totals:(new_totals u spec) ~start:0
+      ~resume_from:run.r_resume_from ()
+  in
   run_inc_job ~run u spec c ~prefix:[] ~ctx:0 ~obs_mask:0;
   let time = Unix.gettimeofday () -. t0 in
   pf_flush c.portfolio;
@@ -1249,39 +1290,24 @@ type inc_job_result = {
     [ `Unsat_all | `Sat of Witness.t | `Unknown | `Timeout | `Budget of string ];
 }
 
-(* Schemas in the subtree at (ctx, obs_mask), counted up to [limit] —
-   beyond the schema budget the exact total is irrelevant (the producer
-   stops once the budget position is covered by a pushed job). *)
-let count_schemas_upto u spec ~ctx ~obs_mask ~limit =
-  let n = ref 0 in
-  ignore
-    (Schema.walk u spec ~ctx ~obs_mask
-       ~on_enter:(fun _ -> `Descend)
-       ~on_leave:(fun _ -> ())
-       ~on_schema:(fun () ->
-         incr n;
-         !n < limit)
-       ());
-  !n
-
 let verify_incremental_parallel ~run u (spec : Ta.Spec.t) =
   let limits = run.r_limits in
   let t0 = Unix.gettimeofday () in
   let phs = Array.init limits.jobs (fun _ -> pf_handle run) in
+  (* One set of subtree totals per worker domain, one for the producer. *)
+  let worker_totals = Array.init limits.jobs (fun _ -> new_totals u spec) in
   let resume_from = run.r_resume_from in
   (* Preorder start position of each pushed job, in push (= pool index)
      order; only read after the pool joins. *)
   let rev_starts = ref [] in
   let produce ~push =
+    let tree = Schema.tree u spec in
     let pos = ref 0 in
     let depth = ref 0 in
     let rev_prefix = ref [] in
     let ctx_stack = ref [ 0 ] in
     let obs_stack = ref [ 0 ] in
     let stop = ref false in
-    (* Once a pushed job covers position [max_schemas], the deterministic
-       budget abort is in flight: stop producing. *)
-    let covered_budget () = !pos > limits.max_schemas in
     let push_recorded job =
       let accepted = push job in
       if accepted then rev_starts := job.ij_start :: !rev_starts;
@@ -1298,15 +1324,9 @@ let verify_incremental_parallel ~run u (spec : Ta.Spec.t) =
             | Schema.Observe i -> (ctx, obs lor (1 lsl i))
           in
           if !depth + 1 >= partition_depth then begin
-            (* The count must also cover the resume fast-forward: a
-               subtree entirely below the frontier is skipped, not
-               pushed. *)
-            let limit =
-              max 1 (max (limits.max_schemas - !pos + 1) (resume_from - !pos + 1))
-            in
-            let n = count_schemas_upto u spec ~ctx:ctx' ~obs_mask:obs' ~limit in
+            let n = Schema.size tree ~ctx:ctx' ~obs_mask:obs' in
             (if n > 0 then
-               if !pos + n <= resume_from then
+               if n <= resume_from - !pos then
                  (* Every schema in this subtree was already discharged
                     by a previous slice. *)
                  pos := !pos + n
@@ -1320,10 +1340,11 @@ let verify_incremental_parallel ~run u (spec : Ta.Spec.t) =
                      ij_subtree = true;
                    }
                  in
-                 if push_recorded job then begin
-                   pos := !pos + n;
-                   if covered_budget () then stop := true
-                 end
+                 (* Once a pushed job covers position [max_schemas], the
+                    deterministic budget abort is in flight: stop
+                    producing. *)
+                 if push_recorded job && n <= limits.max_schemas - !pos then
+                   pos := !pos + n
                  else stop := true);
             `Prune
           end
@@ -1356,13 +1377,9 @@ let verify_incremental_parallel ~run u (spec : Ta.Spec.t) =
               ij_subtree = false;
             }
           in
-          if push_recorded job then begin
+          if push_recorded job && !pos < limits.max_schemas then begin
             incr pos;
-            if covered_budget () then begin
-              stop := true;
-              false
-            end
-            else true
+            true
           end
           else begin
             stop := true;
@@ -1375,7 +1392,10 @@ let verify_incremental_parallel ~run u (spec : Ta.Spec.t) =
   let work ~worker _index job =
     let ph = phs.(worker) in
     let pc0 = pf_counters ph in
-    let c = new_tally ?portfolio:ph ~start:job.ij_start ~resume_from () in
+    let c =
+      new_tally ?portfolio:ph ~totals:worker_totals.(worker) ~start:job.ij_start
+        ~resume_from ()
+    in
     (match check_budget ~run c with
      | Some msg -> c.abort_msg <- Some msg
      | None ->

@@ -61,6 +61,7 @@ type env = {
   spec : Ta.Spec.t;
   param_vars : (string * int) list;
   observations : Ta.Cond.t array;
+  moves : (int * int * int) array;  (* the slot simulation's rules, see Sim *)
 }
 
 type session = {
@@ -78,6 +79,17 @@ let fresh snap kind =
 
 let blocked env l = List.mem l env.spec.never_enter
 let rule_allowed env (r : A.rule) = not (blocked env r.target)
+
+(* {!Universe.moves} less the rules into a never-entered location: the
+   moves [run_segment] may fire. *)
+let allowed_moves u (spec : Ta.Spec.t) =
+  match List.filter_map (Universe.location_index u) spec.never_enter with
+  | [] -> Universe.moves u
+  | blocked ->
+    Array.of_list
+      (List.filter
+         (fun (_, _, target) -> not (List.mem target blocked))
+         (Array.to_list (Universe.moves u)))
 
 let pexpr env (e : Ta.Pexpr.t) =
   L.of_int_terms
@@ -170,7 +182,16 @@ let start u (spec : Ta.Spec.t) =
     v
   in
   let param_vars = List.map (fun p -> (p, fresh_mut (Param p))) ta.params in
-  let env = { u; ta; spec; param_vars; observations = Array.of_list (List.map snd spec.observations) } in
+  let env =
+    {
+      u;
+      ta;
+      spec;
+      param_vars;
+      observations = Array.of_list (List.map snd spec.observations);
+      moves = allowed_moves u spec;
+    }
+  in
   (* Resilience and non-negative parameters. *)
   List.iter (fun e -> assert_atom (Smt.Atom.ge (pexpr env e) L.zero)) ta.resilience;
   List.iter (fun (_, v) -> assert_atom (Smt.Atom.ge (L.var v) L.zero)) param_vars;
@@ -347,53 +368,106 @@ let encode u spec (schema : Schema.t) =
    zero expression iff it is neither an unblocked initial location nor
    the target of an executed slot — acceleration factors are fresh
    variables, so a counter expression can never collapse back to the
-   literal zero.  Used to account pruned subtrees at flat-engine parity
-   cost (see Checker). *)
+   literal zero.  Locations are {!Universe.location_index} indices and
+   the populated set is one byte per location, so a simulated segment
+   is a scan of [moves] with no name lookups.  Used to account pruned
+   subtrees at flat-engine parity cost (see Checker). *)
 
 module Sim = struct
-  type t = { env : env; ctx : int; seg_nonzero : string list; slots : int }
+  type t = {
+    moves : (int * int * int) array;
+    ctx : int;
+    pop : string;  (* byte [i] <> '\000' iff location [i]'s counter is non-zero *)
+    slots : int;
+  }
+
+  let populated pop i = String.unsafe_get pop i <> '\000'
+
+  let populate u locations =
+    let pop = Bytes.make (Universe.n_locations u) '\000' in
+    List.iter
+      (fun l -> Option.iter (fun i -> Bytes.set pop i '\001') (Universe.location_index u l))
+      locations;
+    Bytes.to_string pop
 
   (* The empty prefix, without opening a session: only the unblocked
      initial locations are populated, matching [start]'s counters. *)
   let start u (spec : Ta.Spec.t) =
     let ta = Universe.automaton u in
-    let env =
-      { u; ta; spec; param_vars = [];
-        observations = Array.of_list (List.map snd spec.observations) }
+    let pop =
+      populate u
+        (List.filter
+           (fun l -> List.mem l ta.initial && not (List.mem l spec.never_enter))
+           ta.locations)
     in
-    let seg_nonzero =
-      List.filter (fun l -> List.mem l ta.initial && not (blocked env l)) ta.locations
-    in
-    { env; ctx = 0; seg_nonzero; slots = 0 }
+    { moves = allowed_moves u spec; ctx = 0; pop; slots = 0 }
 
   let of_session s =
     let snap = top s in
-    {
-      env = s.env;
-      ctx = snap.ctx;
-      seg_nonzero =
-        List.filter_map
-          (fun (l, e) -> if L.equal e L.zero then None else Some l)
-          snap.counters;
-      slots = snap.n_slots;
-    }
+    let pop =
+      populate s.env.u
+        (List.filter_map
+           (fun (l, e) -> if L.equal e L.zero then None else Some l)
+           snap.counters)
+    in
+    { moves = s.env.moves; ctx = snap.ctx; pop; slots = snap.n_slots }
 
-  let run_segment sim =
-    List.fold_left
-      (fun (nonzero, slots) (r : A.rule) ->
-        if rule_allowed sim.env r && List.mem r.source nonzero then
-          ((if List.mem r.target nonzero then nonzero else r.target :: nonzero),
-           slots + 1)
-        else (nonzero, slots))
-      (sim.seg_nonzero, sim.slots)
-      (Universe.enabled_rules sim.env.u sim.ctx)
+  (* One segment: the populated set after it and the slots it adds. *)
+  let segment sim =
+    let pop = ref sim.pop and n = ref 0 in
+    Array.iter
+      (fun (mask, source, target) ->
+        if mask land lnot sim.ctx = 0 && populated !pop source then begin
+          incr n;
+          if not (populated !pop target) then begin
+            let b = Bytes.of_string !pop in
+            Bytes.set b target '\001';
+            pop := Bytes.unsafe_to_string b
+          end
+        end)
+      sim.moves;
+    (!pop, !n)
 
   let push_event sim (ev : Schema.event) =
-    let nonzero, slots = run_segment sim in
-    let sim = { sim with seg_nonzero = nonzero; slots } in
-    match ev with
-    | Schema.Unlock g -> { sim with ctx = sim.ctx lor (1 lsl g) }
-    | Schema.Observe _ -> sim
+    let pop, n = segment sim in
+    let ctx =
+      match ev with Schema.Unlock g -> sim.ctx lor (1 lsl g) | Schema.Observe _ -> sim.ctx
+    in
+    { sim with ctx; pop; slots = sim.slots + n }
 
-  let leaf_slots sim = snd (run_segment sim)
+  let leaf_slots sim = sim.slots + snd (segment sim)
+
+  (* Closed-form subtree totals.  Every leaf below a node pays the
+     node's prefix slots, so a subtree's slot sum is
+     [size * sim.slots + rel], where [rel] — the slots its leaves add
+     past the node — depends only on the node's context, cut-point set
+     and populated set: the memo key.  Sums saturate at [max_int]. *)
+  type memo = { tree : Schema.tree; rel : (int * int * string, int) Hashtbl.t }
+
+  let memo tree = { tree; rel = Hashtbl.create 64 }
+
+  let sat_add a b = if a > max_int - b then max_int else a + b
+  let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+  let rec rel m sim ~obs_mask =
+    let key = (sim.ctx, obs_mask, sim.pop) in
+    match Hashtbl.find_opt m.rel key with
+    | Some r -> r
+    | None ->
+      let pop, seg = segment sim in
+      let r =
+        List.fold_left
+          (fun acc (_, ctx, obs_mask) ->
+            let child = { sim with ctx; pop; slots = 0 } in
+            let n = Schema.size m.tree ~ctx ~obs_mask in
+            sat_add acc (sat_add (sat_mul n seg) (rel m child ~obs_mask)))
+          (if Schema.is_schema m.tree ~obs_mask then seg else 0)
+          (Schema.children m.tree ~ctx:sim.ctx ~obs_mask)
+      in
+      Hashtbl.add m.rel key r;
+      r
+
+  let subtree_slots m sim ~obs_mask =
+    let n = Schema.size m.tree ~ctx:sim.ctx ~obs_mask in
+    sat_add (sat_mul n sim.slots) (rel m sim ~obs_mask)
 end

@@ -93,4 +93,21 @@ module Sim : sig
   (** Slots of the schema ending at the current prefix: prefix slots
       plus the trailing segment's. *)
   val leaf_slots : t -> int
+
+  (** {2 Closed-form subtree totals} *)
+
+  (** Memoised slot sums over the subtrees of one {!Schema.tree}.  The
+      slots a subtree's leaves add past its root depend only on the
+      root's context, cut-point set and populated locations, so each
+      such triple is folded once.  Not domain-safe: use one per domain
+      (and per run: the memo grows with the subtrees it has counted). *)
+  type memo
+
+  val memo : Schema.tree -> memo
+
+  (** [subtree_slots m sim ~obs_mask] is the sum of {!leaf_slots} over
+      the schemas of the subtree rooted at the prefix [sim] with
+      cut-point set [obs_mask] — [Schema.size] of them — saturating at
+      [max_int].  [sim] must belong to the memo's universe and spec. *)
+  val subtree_slots : memo -> t -> obs_mask:int -> int
 end

@@ -10,6 +10,33 @@ type event =
 
 type t = event list
 
+(** {1 The enumeration tree}
+
+    A node is a pair of a guard context [ctx] (a bitmask over
+    {!Universe.guard_id}s) and a cut-point set [obs_mask] (a bitmask
+    over observation indices); the root is [(0, 0)].  A [tree] fixes
+    the child order that {!walk} traverses and memoises subtree sizes.
+    It is not domain-safe: use one per domain. *)
+
+type tree
+
+val tree : Universe.t -> Ta.Spec.t -> tree
+
+(** Whether the node is an emission point (its cut-point set is
+    complete). *)
+val is_schema : tree -> obs_mask:int -> bool
+
+(** [children t ~ctx ~obs_mask] lists the node's children in preorder
+    as [(edge event, child ctx, child obs_mask)]: the unobserved cut
+    points first, then the unlock candidates. *)
+val children : tree -> ctx:int -> obs_mask:int -> (event * int * int) list
+
+(** [size t ~ctx ~obs_mask] is the number of schemas in the subtree
+    rooted at the node (itself included), memoised per node and
+    saturating at [max_int]; it depends on the node alone, not on the
+    path that reached it. *)
+val size : tree -> ctx:int -> obs_mask:int -> int
+
 (** [walk u spec ?ctx ?obs_mask ~on_enter ~on_leave ~on_schema ()] is
     the DFS underlying {!enumerate}, with the tree structure exposed:
     [on_enter ev] fires when the walk descends the edge labelled [ev]
@@ -20,8 +47,8 @@ type t = event list
     the current prefix are exactly those entered and not yet left), and
     answers whether to continue.  Returns [true] when the walk ran to
     completion.  [ctx]/[obs_mask] (default the root) start the walk at
-    an interior node — used to traverse one subtree, e.g. a pruned one
-    in counting mode or a worker's partition of the tree. *)
+    an interior node — used to traverse one subtree, e.g. a worker's
+    partition of the tree. *)
 val walk :
   Universe.t ->
   Ta.Spec.t ->

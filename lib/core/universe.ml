@@ -18,6 +18,12 @@ type t = {
   (* rules that increment a variable of the guard. *)
   producers : A.rule list array;
   topo_rules : A.rule list;
+  (* Location name -> index: the automaton's locations in order, then any
+     undeclared rule endpoint (rejected by the structural precheck, but
+     indexable here so [build] never fails on it). *)
+  loc_index : (string, int) Hashtbl.t;
+  (* [topo_rules] as (guard mask, source index, target index). *)
+  moves : (int * int * int) array;
   (* canonical atom key -> guard id; see [atom_key] *)
   atom_index : ((string * int) list * (string * int) list * int, int) Hashtbl.t;
   rule_guard_ids : (string, int) Hashtbl.t;  (* rule name -> guard bitmask *)
@@ -121,6 +127,24 @@ let build ?(use_implication_order = true) ?(use_producibility = true) (ta : A.t)
       in
       Hashtbl.replace rule_guard_ids r.name mask)
     ta.rules;
+  let topo_rules = A.topological_rule_order ta in
+  let loc_index = Hashtbl.create 32 in
+  let index l =
+    match Hashtbl.find_opt loc_index l with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length loc_index in
+      Hashtbl.add loc_index l i;
+      i
+  in
+  List.iter (fun l -> ignore (index l)) ta.locations;
+  let moves =
+    Array.of_list
+      (List.map
+         (fun (r : A.rule) ->
+           (Hashtbl.find rule_guard_ids r.name, index r.source, index r.target))
+         topo_rules)
+  in
   let justice_implies =
     List.concat_map (fun (j : A.justice) -> j.unless) ta.justice
     |> List.sort_uniq G.atom_compare
@@ -142,7 +166,9 @@ let build ?(use_implication_order = true) ?(use_producibility = true) (ta : A.t)
     precede;
     needs_producer;
     producers;
-    topo_rules = A.topological_rule_order ta;
+    topo_rules;
+    loc_index;
+    moves;
     atom_index;
     rule_guard_ids;
     justice_implies;
@@ -164,6 +190,10 @@ let guard_ids u (g : G.t) =
 let must_precede u g h = u.precede.(h).(g)
 
 let rule_mask u (r : A.rule) = Hashtbl.find u.rule_guard_ids r.name
+
+let n_locations u = Hashtbl.length u.loc_index
+let location_index u l = Hashtbl.find_opt u.loc_index l
+let moves u = u.moves
 
 let enabled_rules u ctx =
   List.filter (fun r -> rule_mask u r land lnot ctx = 0) u.topo_rules

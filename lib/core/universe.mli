@@ -42,6 +42,21 @@ val must_precede : t -> guard_id -> guard_id -> bool
     the context [ctx] (a bitmask over guard ids), in topological order. *)
 val enabled_rules : t -> int -> Ta.Automaton.rule list
 
+(** {1 Location-indexed view}
+
+    What the slot simulation ({!Encode.Sim}) needs, without names:
+    locations are numbered [0 .. n_locations-1] in the automaton's
+    declaration order, and rules are numbered moves between them. *)
+
+val n_locations : t -> int
+
+val location_index : t -> string -> int option
+
+(** [moves u] lists every rule in topological order as
+    [(guard mask, source, target)]: the rule is enabled in context
+    [ctx] iff [mask land lnot ctx = 0] (as in {!enabled_rules}). *)
+val moves : t -> (int * int * int) array
+
 (** [unlock_candidates u ctx] lists the guards outside [ctx] that respect
     the implication order and producibility under [ctx]. *)
 val unlock_candidates : t -> int -> guard_id list

@@ -19,5 +19,5 @@ val poll : reader -> [ `Lines of string list | `Eof ]
 val send : Unix.file_descr -> Jsonc.t -> unit
 
 (** [send_locked mutex fd json] serializes concurrent writers (worker
-    main loop vs. its heartbeat domain) so lines never interleave. *)
+    main loop vs. its heartbeat thread) so lines never interleave. *)
 val send_locked : Mutex.t -> Unix.file_descr -> Jsonc.t -> unit

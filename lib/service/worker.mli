@@ -10,10 +10,12 @@
     resume machinery — a SIGKILLed worker loses at most
     [ckpt_every - 1] positions of its in-flight slice.
 
-    A heartbeat domain reports the last preorder position touched every
-    [hb_interval] seconds; the coordinator SIGKILLs a worker whose
-    position stops advancing (a hung solver query), so a stuck slice is
-    re-queued like a crashed one.
+    A heartbeat thread (a systhread on the worker's single domain, so
+    the solver loop's minor collections never wait on a second domain)
+    reports the last preorder position touched every [hb_interval]
+    seconds; the coordinator SIGKILLs a worker whose position stops
+    advancing (a hung solver query), so a stuck slice is re-queued like
+    a crashed one.
 
     Deterministic fault injection ({!failpoint_of_string}) covers every
     failure path in CI:

@@ -341,6 +341,252 @@ let test_gadget_pruning () =
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
+(* Closed-form subtree totals against the plain walk.  The checker
+   accounts a pruned subtree by its memoised schema count
+   ({!Holistic.Schema.size}) and slot sum
+   ({!Holistic.Encode.Sim.subtree_slots}); the oracle is one
+   {!Holistic.Schema.walk} folding {!Holistic.Encode.Sim.leaf_slots}
+   into every open ancestor, so each subtree's totals are known when
+   the walk leaves it.  The oracle's own leaf slots are anchored to the
+   flat encoder on the first schemas of each walk. *)
+
+module Sim = Holistic.Encode.Sim
+
+type frame = {
+  f_sim : Sim.t;
+  f_ctx : int;
+  f_obs : int;
+  f_rev_events : Holistic.Schema.event list;
+  mutable f_n : int;
+  mutable f_slots : int;
+}
+
+(* Walk up to [limit] schemas; subtrees the walk did not finish are not
+   compared.  Returns the number of subtrees compared. *)
+let check_subtree_totals ?(limit = 50_000) ?(anchored = 200) name u spec =
+  let tree = Holistic.Schema.tree u spec in
+  let memo = Sim.memo tree in
+  let compared = ref 0 in
+  let check f =
+    let n = Holistic.Schema.size tree ~ctx:f.f_ctx ~obs_mask:f.f_obs in
+    let slots = Sim.subtree_slots memo f.f_sim ~obs_mask:f.f_obs in
+    if n <> f.f_n || slots <> f.f_slots then
+      Alcotest.failf
+        "%s: subtree (ctx %d, obs %d): memo (%d schemas, %d slots), walk (%d, %d)" name
+        f.f_ctx f.f_obs n slots f.f_n f.f_slots;
+    incr compared
+  in
+  let frame sim ctx obs rev_events =
+    {
+      f_sim = sim;
+      f_ctx = ctx;
+      f_obs = obs;
+      f_rev_events = rev_events;
+      f_n = 0;
+      f_slots = 0;
+    }
+  in
+  let root = frame (Sim.start u spec) 0 0 [] in
+  let stack = ref [ root ] in
+  let seen = ref 0 and stopped = ref false in
+  let complete =
+    Holistic.Schema.walk u spec
+      ~on_enter:(fun ev ->
+        let p = List.hd !stack in
+        let ctx, obs =
+          match ev with
+          | Holistic.Schema.Unlock g -> (p.f_ctx lor (1 lsl g), p.f_obs)
+          | Holistic.Schema.Observe i -> (p.f_ctx, p.f_obs lor (1 lsl i))
+        in
+        stack := frame (Sim.push_event p.f_sim ev) ctx obs (ev :: p.f_rev_events) :: !stack;
+        `Descend)
+      ~on_leave:(fun _ ->
+        match !stack with
+        | f :: (p :: _ as rest) ->
+          if not !stopped then begin
+            check f;
+            p.f_n <- p.f_n + f.f_n;
+            p.f_slots <- p.f_slots + f.f_slots
+          end;
+          stack := rest
+        | _ -> assert false)
+      ~on_schema:(fun () ->
+        let f = List.hd !stack in
+        let slots = Sim.leaf_slots f.f_sim in
+        if !seen < anchored then begin
+          let encoded = Holistic.Encode.encode u spec (List.rev f.f_rev_events) in
+          Alcotest.(check int) (name ^ ": leaf slots = encoder slots") encoded.n_slots slots
+        end;
+        f.f_n <- f.f_n + 1;
+        f.f_slots <- f.f_slots + slots;
+        incr seen;
+        stopped := !seen >= limit;
+        not !stopped)
+      ()
+  in
+  if complete then check root;
+  Alcotest.(check bool) (name ^ ": subtrees compared") true (!compared > 0)
+
+let every_bundled_spec =
+  List.concat_map
+    (fun (key, ta, specs) -> List.map (fun spec -> (key, ta, spec)) specs)
+    ([
+       ("bv", Models.Bv_ta.automaton, Models.Bv_ta.all_specs);
+       ("naive", Models.Naive_ta.automaton, Models.Naive_ta.table2_specs);
+       ("simplified", Models.Simplified_ta.automaton, Models.Simplified_ta.all_specs);
+       ("benor", Models.Ben_or.automaton, Models.Ben_or.all_specs);
+     ]
+    @ List.map
+        (fun (e : Models.Zoo.entry) -> ("zoo:" ^ e.key, e.automaton, List.map fst e.specs))
+        Models.Zoo.entries)
+
+let test_subtree_totals_oracle () =
+  let universes = Hashtbl.create 8 in
+  List.iter
+    (fun (key, ta, (spec : S.t)) ->
+      let u =
+        match Hashtbl.find_opt universes key with
+        | Some u -> u
+        | None ->
+          let u = Holistic.Universe.build ta in
+          Hashtbl.add universes key u;
+          u
+      in
+      check_subtree_totals (key ^ " " ^ spec.name) u spec)
+    every_bundled_spec
+
+(* ------------------------------------------------------------------ *)
+(* Schema budgets inside pruned subtrees.  A pruned subtree is accounted
+   in closed form unless the budget falls inside it; then the checker
+   descends only into the children that straddle the budget.  For every
+   budget strictly inside a pruned subtree and at each of its edges, the
+   capped run must agree with the uninterrupted one — the same abort
+   position, the skipped positions and slot sum of its first [k]
+   positions, its certificate records truncated at [k] — and with the
+   parallel engine (and, where cheap, the flat one) under the same cap. *)
+
+(* (kind, position, span) of every certificate line; a schema line
+   spans one position. *)
+let cert_records path =
+  let module J = Jsonc in
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+    | line when String.trim line = "" -> go acc
+    | line ->
+      let j = J.of_string line in
+      let kind = J.to_str (J.member "kind" j) in
+      let span = if kind = "schema" then 1 else J.to_int (J.member "span" j) in
+      go ((kind, J.to_int (J.member "position" j), span) :: acc)
+  in
+  go []
+
+(* A sequential run with a certificate sink and a checkpoint: the result,
+   its certificate records and its final journal. *)
+let recorded_run ~limits u spec =
+  let certs_path = Filename.temp_file "holistic_certs" ".jsonl" in
+  let ckpt = Filename.temp_file "holistic_ckpt" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ certs_path; ckpt ])
+    (fun () ->
+      let oc = open_out certs_path in
+      let sink = Holistic.Certs.create oc in
+      let r = Ck.verify_with_universe ~limits ~certs:sink ~checkpoint:ckpt u spec in
+      close_out oc;
+      let journal =
+        match Holistic.Journal.load ~path:ckpt with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "journal unreadable: %s" e
+      in
+      (r, cert_records certs_path, journal))
+
+(* Budgets at the edges of, and strictly inside, the two largest pruned
+   subtrees of a transcript. *)
+let budgets_in_pruned records =
+  let pruned = List.filter (fun (kind, _, span) -> kind <> "schema" && span >= 3) records in
+  let largest =
+    List.filteri (fun i _ -> i < 2)
+      (List.sort (fun (_, _, a) (_, _, b) -> compare b a) pruned)
+  in
+  if largest = [] then Alcotest.fail "no pruned subtree to place a budget in";
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (_, p0, n) -> [ p0; p0 + 1; p0 + (n / 2); p0 + n - 1; p0 + n ])
+       largest)
+
+(* Slot sum of the first [k] schemas of the preorder, by the plain
+   enumeration and the slot simulation. *)
+let prefix_slots u spec k =
+  let slots = ref 0 and seen = ref 0 in
+  ignore
+    (Holistic.Schema.enumerate u spec ~on_schema:(fun schema ->
+         if !seen < k then begin
+           let sim = List.fold_left Sim.push_event (Sim.start u spec) schema in
+           slots := !slots + Sim.leaf_slots sim;
+           incr seen
+         end;
+         !seen < k));
+  !slots
+
+let check_budgets_in_pruned name ?(static = true) u spec =
+  let limits = { (limits ~incremental:true ()) with static } in
+  let full, records, _ = recorded_run ~limits u spec in
+  let total = full.Ck.stats.schemas_checked in
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "%s, budget %d" name k in
+      let capped, capped_records, journal =
+        recorded_run ~limits:{ limits with max_schemas = k } u spec
+      in
+      let want_outcome =
+        if k >= total then outcome_repr full.Ck.outcome
+        else Printf.sprintf "aborted: schema budget exceeded (> %d schemas)" k
+      in
+      let positions = min k total in
+      let skipped =
+        List.fold_left
+          (fun acc (kind, p, span) ->
+            if kind = "schema" then acc else acc + max 0 (min (p + span) k - p))
+          0 records
+      in
+      let truncated =
+        List.filter_map
+          (fun (kind, p, span) -> if p < k then Some (kind, p, min span (k - p)) else None)
+          records
+      in
+      let st = capped.Ck.stats in
+      Alcotest.(check string)
+        (name ^ ": outcome") want_outcome (outcome_repr capped.Ck.outcome);
+      Alcotest.(check int) (name ^ ": schemas") positions st.schemas_checked;
+      Alcotest.(check int) (name ^ ": skipped") skipped st.schemas_skipped;
+      Alcotest.(check int) (name ^ ": slots") (prefix_slots u spec k) st.slots_total;
+      Alcotest.(check (list (triple string int int)))
+        (name ^ ": certificate spans") truncated capped_records;
+      Alcotest.(check int) (name ^ ": journal frontier") positions journal.frontier;
+      Alcotest.(check int) (name ^ ": journal skipped") st.schemas_skipped journal.skipped;
+      Alcotest.(check int)
+        (name ^ ": journal checked") (positions - st.schemas_skipped) journal.checked;
+      Alcotest.(check int) (name ^ ": journal slots") st.slots_total journal.slots;
+      (* The flat engine discharges a statically refuted schema by slot
+         simulation alone, so it is a cheap reference there. *)
+      if static then ignore (check_pair ~max_schemas:k name u spec);
+      check_par ~max_schemas:k name u spec)
+    (budgets_in_pruned records)
+
+let test_budgets_in_pruned () =
+  let simplified = Lazy.force simplified_u in
+  let inv2_0 = Models.Simplified_ta.inv2_0 in
+  (* Statically refuted at the root: one subtree spans the transcript. *)
+  check_budgets_in_pruned "simplified Inv2_0 static" simplified inv2_0;
+  check_budgets_in_pruned "bv BV-Just0 static" (Lazy.force bv_u)
+    (List.hd Models.Bv_ta.all_specs);
+  (* Prefix-UNSAT prunes interleaved with checked schemas. *)
+  check_budgets_in_pruned "simplified Inv2_0 prefix" ~static:false simplified inv2_0
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end certificate emission: run the sequential engines with a
    sink attached, then replay every emitted JSONL line against the
    standalone checker — the in-process version of
@@ -446,6 +692,13 @@ let () =
             test_broken_resilience_witness;
         ] );
       ("random automata", qcheck_tests);
+      ( "closed-form subtree totals",
+        [
+          Alcotest.test_case "memo = walk fold at every subtree, every bundled and zoo spec"
+            `Slow test_subtree_totals_oracle;
+          Alcotest.test_case "budgets inside and at the edges of pruned subtrees" `Quick
+            test_budgets_in_pruned;
+        ] );
       ( "certificates",
         [
           Alcotest.test_case "emit, replay with the standalone checker" `Slow

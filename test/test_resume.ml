@@ -71,24 +71,94 @@ let engines =
     ("inc-par", { Ck.default_limits with incremental = true; jobs = 3 });
   ]
 
+(* (kind, position, span) of every certificate line; a schema line
+   spans one position. *)
+let cert_records path =
+  let module Jc = Jsonc in
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+    | line when String.trim line = "" -> go acc
+    | line ->
+      let j = Jc.of_string line in
+      let kind = Jc.to_str (Jc.member "kind" j) in
+      let span = if kind = "schema" then 1 else Jc.to_int (Jc.member "span" j) in
+      go ((kind, Jc.to_int (Jc.member "position" j), span) :: acc)
+  in
+  go []
+
+(* Run against checkpoint [path], with a certificate sink on sequential
+   engines: the result and the certificate records. *)
+let run_with_certs ~(limits : Ck.limits) ?resume ~path u spec =
+  if limits.jobs > 1 then
+    (Ck.verify_with_universe ~limits ~checkpoint:path ?resume u spec, [])
+  else begin
+    let certs_path = Filename.temp_file "holistic_certs" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove certs_path)
+      (fun () ->
+        let oc = open_out certs_path in
+        let sink = Holistic.Certs.create oc in
+        let r =
+          Ck.verify_with_universe ~limits ~checkpoint:path ?resume ~certs:sink u spec
+        in
+        close_out oc;
+        (r, cert_records certs_path))
+  end
+
+let load_journal path =
+  match J.load ~path with Ok j -> j | Error e -> Alcotest.failf "journal: %s" e
+
+(* The journal less its wall-clock fields and prefix hits (a resumed
+   session restarts its prefix cache cold). *)
+let journal_repr (j : J.t) =
+  Jsonc.to_string
+    (J.to_json { j with encode_us = 0; solve_us = 0; elapsed_us = 0; hits = 0 })
+
+let stats_repr (r : Ck.result) =
+  let s = r.Ck.stats in
+  Printf.sprintf "%s; schemas %d skipped %d pruned %d core %d static %d slots %d steps %d"
+    (outcome_repr r.Ck.outcome) s.schemas_checked s.schemas_skipped s.subtrees_pruned
+    s.core_prunes s.static_prunes s.slots_total s.solver_steps
+
 (* Kill-and-resume: run to completion; rerun with the schema cap at
    [kill] (checkpointing every position), then resume without the cap.
-   The resumed totals must be bit-identical to the uninterrupted run. *)
+   The resumed run must reproduce the uninterrupted one: outcome and
+   coverage totals ({!check_equiv}), every count but prefix hits
+   (solver steps included: the resumed slice discharges the same leaf
+   queries), the final journal, and on sequential engines every
+   certificate record at or past the frontier — the incremental engine
+   also re-records each pruned subtree it walks, whole, wherever the
+   frontier falls in it. *)
 let kill_resume_equiv name ~limits ?(kills = [ 1; 13 ]) u spec =
-  let base = Ck.verify_with_universe ~limits u spec in
+  let base, base_records, base_journal =
+    with_path (fun path ->
+        let r, records = run_with_certs ~limits ~path u spec in
+        (r, records, load_journal path))
+  in
   List.iter
     (fun kill ->
+      let name = Printf.sprintf "%s kill@%d" name kill in
       with_path (fun path ->
-          let killed =
-            Ck.verify_with_universe
-              ~limits:{ limits with Ck.max_schemas = min kill limits.Ck.max_schemas }
-              ~checkpoint:path ~checkpoint_every:1 u spec
-          in
-          ignore killed;
-          let resumed =
-            Ck.verify_with_universe ~limits ~checkpoint:path ~resume:true u spec
-          in
-          check_equiv (Printf.sprintf "%s kill@%d" name kill) base resumed))
+          ignore
+            (Ck.verify_with_universe
+               ~limits:{ limits with Ck.max_schemas = min kill limits.Ck.max_schemas }
+               ~checkpoint:path ~checkpoint_every:1 u spec);
+          let resumed, resumed_records = run_with_certs ~limits ~resume:true ~path u spec in
+          check_equiv name base resumed;
+          Alcotest.(check string)
+            (name ^ ": counts") (stats_repr base) (stats_repr resumed);
+          Alcotest.(check string)
+            (name ^ ": journal") (journal_repr base_journal)
+            (journal_repr (load_journal path));
+          let subtree kind = limits.Ck.incremental && kind <> "schema" in
+          Alcotest.(check (list (triple string int int)))
+            (name ^ ": certificate spans")
+            (List.filter (fun (kind, p, _) -> subtree kind || p >= kill) base_records)
+            resumed_records))
     kills
 
 let bv_u = lazy (Holistic.Universe.build Models.Bv_ta.automaton)
@@ -187,6 +257,50 @@ let test_multi_slice_resume () =
           in
           check_equiv ("multi-slice " ^ engine) base resumed))
     engines
+
+(* ------------------------------------------------------------------ *)
+(* Resume frontiers inside pruned subtrees.  The checker accounts a
+   pruned subtree wholly below the frontier by its closed-form size and
+   descends only into a subtree the frontier splits: kills at the edges
+   of, and strictly inside, pruned subtrees, through the kill-and-resume
+   battery. *)
+
+(* Kill positions at the edges of, and strictly inside, the two largest
+   pruned subtrees of the sequential incremental transcript. *)
+let kills_in_pruned records =
+  let pruned = List.filter (fun (kind, _, span) -> kind <> "schema" && span >= 3) records in
+  let largest =
+    List.filteri (fun i _ -> i < 2)
+      (List.sort (fun (_, _, a) (_, _, b) -> compare b a) pruned)
+  in
+  if largest = [] then Alcotest.fail "no pruned subtree to place a kill in";
+  List.filter (fun k -> k > 0)
+    (List.sort_uniq compare
+       (List.concat_map
+          (fun (_, p0, n) -> [ p0; p0 + 1; p0 + (n / 2); p0 + n - 1; p0 + n ])
+          largest))
+
+let test_resume_in_pruned () =
+  let inc = List.filter (fun (_, l) -> l.Ck.incremental) engines in
+  List.iter
+    (fun (name, static, engines, u, spec) ->
+      let records =
+        with_path (fun path ->
+            snd (run_with_certs ~limits:{ Ck.default_limits with static } ~path u spec))
+      in
+      List.iter
+        (fun (engine, limits) ->
+          kill_resume_equiv
+            (Printf.sprintf "%s / %s" name engine)
+            ~limits:{ limits with Ck.static } ~kills:(kills_in_pruned records) u spec)
+        engines)
+    [
+      ("simplified Inv2_0 static", true, engines, Lazy.force simplified_u,
+       Models.Simplified_ta.inv2_0);
+      ("simplified Inv2_0 prefix", false, inc, Lazy.force simplified_u,
+       Models.Simplified_ta.inv2_0);
+      ("naive Inv2_0 static", true, inc, Lazy.force naive_u, Models.Naive_ta.inv2_0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fail-soft: injected discharge crashes quarantine instead of killing
@@ -492,6 +606,8 @@ let () =
         [
           Alcotest.test_case "simplified budgeted inc-par" `Slow test_simplified_budgeted;
           Alcotest.test_case "multi-slice resume" `Quick test_multi_slice_resume;
+          Alcotest.test_case "resume frontier inside pruned subtrees" `Quick
+            test_resume_in_pruned;
         ]
         @ naive_abort_tests @ broken_witness_tests );
       ("random kill positions", qcheck_kill_anywhere);
