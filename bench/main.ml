@@ -12,21 +12,16 @@
       reproduction's analogue of the paper's ">24h on 64 cores".
    2. The in-text counterexample: Inv1_0 under the broken resilience
       condition n > 2t, with generation time (paper: ~4 s).
-   3. Incremental vs flat discharge: every bundled property solved by
-      both engines, verdict-compared, solver-step-compared, and written
-      as machine-readable JSON (BENCH_3.json; --bench-json PATH).
-   4. Bechamel micro-benchmarks of the components (ablations).
+   3. Bechamel micro-benchmarks of the components (ablations).
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --naive-budget S] [-- --jobs N]
-          [-- --slice] [-- --no-incremental] [-- --bench-json PATH]
-          [-- --bench6-json PATH] [-- --bench7-json PATH]
+          [-- --slice] [-- --bench6-json PATH] [-- --bench7-json PATH]
           [-- --bench8-json PATH] [-- --bench9-json PATH]
           [-- --bench10-json PATH] [-- --daemon-bin PATH]
           [-- --checkpoint DIR] [-- --resume] [-- --checkpoint-every N] *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let slice = Array.exists (( = ) "--slice") Sys.argv
-let incremental = not (Array.exists (( = ) "--no-incremental") Sys.argv)
 
 let usage_fail flag value expected =
   Printf.eprintf "bench: %s expects %s, got %S\n" flag expected value;
@@ -45,9 +40,6 @@ let flag_value name =
   in
   find 1
 
-let bench_json_path =
-  match flag_value "--bench-json" with Some p -> p | None -> "BENCH_3.json"
-
 let naive_budget =
   match flag_value "--naive-budget" with
   | Some b -> (
@@ -65,9 +57,9 @@ let jobs =
   | None -> Domain.recommended_domain_count ()
 
 (* One limits value carries every budget; the sections below derive
-   their variants (jobs=1, flat engine, ...) from it instead of
+   their variants (jobs=1, no static discharge, ...) from it instead of
    restating literals. *)
-let limits = { Holistic.Checker.default_limits with jobs; incremental }
+let limits = { Holistic.Checker.default_limits with jobs }
 
 (* Crash-safe Table 2: --checkpoint DIR persists one journal per row;
    --resume fast-forwards each row past its checkpointed frontier.
@@ -149,7 +141,7 @@ let speedup () =
     in
     let u = Holistic.Universe.build ta in
     let run n =
-      let limits = { limits with Holistic.Checker.jobs = n; incremental = true } in
+      let limits = { limits with Holistic.Checker.jobs = n } in
       Holistic.Checker.verify_with_universe ~limits u spec
     in
     let seq = run 1 in
@@ -168,11 +160,12 @@ let speedup () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Section 2c: incremental vs flat schema discharge, per bundled
-   property, sequentially (jobs=1, so solver-step counts are
-   deterministic and comparable).  Verdicts, witnesses and schema
-   counts must agree; solver steps must not regress.  The records are
-   written as BENCH_3.json for CI's step-regression gate. *)
+(* Section 2d: certificate emission and standalone replay, per bundled
+   property (jobs=1).  The run re-proves every UNSAT verdict on the
+   certifying engine and the emitted JSONL is replayed by Smt.Certcheck
+   (exact rationals, no solver code).  The records go to BENCH_6.json
+   for CI's gates: no certification failures and no rejected
+   certificates. *)
 
 let outcome_string (r : Holistic.Checker.result) =
   match r.outcome with
@@ -180,67 +173,6 @@ let outcome_string (r : Holistic.Checker.result) =
   | Holistic.Checker.Violated _ -> "violated"
   | Holistic.Checker.Aborted _ -> "aborted"
   | Holistic.Checker.Partial _ -> "partial"
-
-let json_of_run ~ta ~(r : Holistic.Checker.result) ~inc =
-  Printf.sprintf
-    {|    {"ta": %S, "property": %S, "incremental": %b, "outcome": %S, "schemas": %d, "skipped": %d, "subtrees_pruned": %d, "prefix_hits": %d, "solver_steps": %d, "slots": %d, "jobs": %d, "time": %.3f}|}
-    ta r.spec.Ta.Spec.name inc (outcome_string r) r.stats.schemas_checked
-    r.stats.schemas_skipped r.stats.subtrees_pruned r.stats.prefix_hits
-    r.stats.solver_steps r.stats.slots_total r.stats.jobs r.stats.time
-
-let incremental_comparison () =
-  print_endline "== Incremental vs flat schema discharge (jobs=1) ==";
-  let cases =
-    List.map (fun s -> ("bv", Models.Bv_ta.automaton, s)) Models.Bv_ta.table2_specs
-    @ List.map
-        (fun s -> ("simplified", Models.Simplified_ta.automaton, s))
-        (if quick then [ Models.Simplified_ta.inv2_0; Models.Simplified_ta.good_0 ]
-         else Models.Simplified_ta.table2_specs)
-  in
-  let records = ref [] in
-  Printf.printf "%-14s %-12s %10s %10s %7s %9s %8s %6s\n" "TA" "Property"
-    "steps-flat" "steps-inc" "ratio" "skipped" "pruned" "agree";
-  List.iter
-    (fun (ta_name, ta, spec) ->
-      let u = Holistic.Universe.build ta in
-      let run inc =
-        let limits = { limits with Holistic.Checker.jobs = 1; incremental = inc } in
-        Holistic.Checker.verify_with_universe ~limits u spec
-      in
-      let flat = run false in
-      let inc = run true in
-      records := json_of_run ~ta:ta_name ~r:flat ~inc:false :: !records;
-      records := json_of_run ~ta:ta_name ~r:inc ~inc:true :: !records;
-      let agree =
-        outcome_string flat = outcome_string inc
-        && flat.Holistic.Checker.stats.schemas_checked = inc.Holistic.Checker.stats.schemas_checked
-        && flat.stats.slots_total = inc.stats.slots_total
-      in
-      let ratio =
-        if inc.stats.solver_steps = 0 then Float.infinity
-        else float_of_int flat.stats.solver_steps /. float_of_int inc.stats.solver_steps
-      in
-      Printf.printf "%-14s %-12s %10d %10d %6.2fx %9d %8d %6s\n%!" ta_name
-        spec.Ta.Spec.name flat.stats.solver_steps inc.stats.solver_steps ratio
-        inc.stats.schemas_skipped inc.stats.subtrees_pruned
-        (if agree then "yes" else "NO!"))
-    cases;
-  let oc = open_out bench_json_path in
-  Printf.fprintf oc "{\n  \"jobs\": 1,\n  \"mode\": %S,\n  \"results\": [\n%s\n  ]\n}\n"
-    (if quick then "quick" else "full")
-    (String.concat ",\n" (List.rev !records));
-  close_out oc;
-  Printf.printf "(wrote %s)\n" bench_json_path;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Section 2d: certificate emission and standalone replay, per bundled
-   property (jobs=1).  The incremental run re-proves every UNSAT
-   verdict on the certifying engine and the emitted JSONL is replayed
-   by Smt.Certcheck (exact rationals, no solver code).  The records go
-   to BENCH_6.json for CI's gates: no certification failures, no
-   rejected certificates, and incremental solver steps still no worse
-   than the flat engine's. *)
 
 let bench6_json_path =
   match flag_value "--bench6-json" with Some p -> p | None -> "BENCH_6.json"
@@ -294,39 +226,32 @@ let certificates () =
          else Models.Simplified_ta.table2_specs)
   in
   let records = ref [] in
-  Printf.printf "%-14s %-12s %10s %10s %10s %6s %8s %9s\n" "TA" "Property" "steps-flat"
-    "steps-inc" "cert-steps" "certs" "rejected" "check-ms";
+  Printf.printf "%-14s %-12s %10s %10s %6s %8s %9s\n" "TA" "Property" "steps"
+    "cert-steps" "certs" "rejected" "check-ms";
   List.iter
     (fun (ta_name, ta, spec) ->
       let u = Holistic.Universe.build ta in
-      let run ?certs inc =
-        let limits = { limits with Holistic.Checker.jobs = 1; incremental = inc } in
-        Holistic.Checker.verify_with_universe ~limits ?certs u spec
-      in
-      let flat = run false in
       let path = Filename.temp_file "holistic_bench_certs" ".jsonl" in
       let oc = open_out path in
       let sink = Holistic.Certs.create oc in
-      let inc = run ~certs:sink true in
+      let r = Holistic.Checker.verify_with_universe ~limits ~certs:sink u spec in
       close_out oc;
       let certs, rejected, check_t = replay_certificates path in
       Sys.remove path;
       records :=
         Printf.sprintf
-          {|    {"ta": %S, "property": %S, "outcome": %S, "schemas": %d, "skipped": %d, "core_prunes": %d, "steps_flat": %d, "steps_inc": %d, "cert_steps": %d, "certificates": %d, "emit_failed": %d, "rejected": %d, "check_time_us": %d}|}
-          ta_name spec.Ta.Spec.name (outcome_string inc)
-          inc.Holistic.Checker.stats.schemas_checked inc.stats.schemas_skipped
-          inc.stats.core_prunes flat.Holistic.Checker.stats.solver_steps
-          inc.stats.solver_steps
+          {|    {"ta": %S, "property": %S, "outcome": %S, "schemas": %d, "skipped": %d, "core_prunes": %d, "steps": %d, "cert_steps": %d, "certificates": %d, "emit_failed": %d, "rejected": %d, "check_time_us": %d}|}
+          ta_name spec.Ta.Spec.name (outcome_string r)
+          r.Holistic.Checker.stats.schemas_checked r.stats.schemas_skipped
+          r.stats.core_prunes r.stats.solver_steps
           (Holistic.Certs.cert_steps sink)
           certs
           (Holistic.Certs.failed sink)
           rejected
           (int_of_float (check_t *. 1e6))
         :: !records;
-      Printf.printf "%-14s %-12s %10d %10d %10d %6d %8d %8.1f\n%!" ta_name
-        spec.Ta.Spec.name flat.Holistic.Checker.stats.solver_steps
-        inc.Holistic.Checker.stats.solver_steps
+      Printf.printf "%-14s %-12s %10d %10d %6d %8d %8.1f\n%!" ta_name
+        spec.Ta.Spec.name r.Holistic.Checker.stats.solver_steps
         (Holistic.Certs.cert_steps sink)
         certs rejected (check_t *. 1e3))
     cases;
@@ -340,7 +265,7 @@ let certificates () =
 
 (* ------------------------------------------------------------------ *)
 (* Section 2e: static discharge ablation, per bundled property
-   (jobs=1, incremental).  The invariant engine's certified refutations
+   (jobs=1).  The invariant engine's certified refutations
    must not change any observable of the verification — verdict,
    schema count, slot total — while the solver-step count can only
    shrink (statically refuted subtrees are skipped at zero steps).
@@ -352,7 +277,7 @@ let bench7_json_path =
   match flag_value "--bench7-json" with Some p -> p | None -> "BENCH_7.json"
 
 let static_comparison () =
-  print_endline "== Static discharge vs full solving (jobs=1, incremental) ==";
+  print_endline "== Static discharge vs full solving (jobs=1) ==";
   let cases =
     List.map (fun s -> ("bv", Models.Bv_ta.automaton, s)) Models.Bv_ta.table2_specs
     @ List.map
@@ -367,9 +292,7 @@ let static_comparison () =
     (fun (ta_name, ta, spec) ->
       let u = Holistic.Universe.build ta in
       let run static =
-        let limits =
-          { limits with Holistic.Checker.jobs = 1; incremental = true; static }
-        in
+        let limits = { limits with Holistic.Checker.jobs = 1; static } in
         Holistic.Checker.verify_with_universe ~limits u spec
       in
       let plain = run false in
@@ -401,7 +324,7 @@ let static_comparison () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Section 2f: discharge cache and portfolio (jobs=1, incremental).
+(* Section 2f: discharge cache and portfolio (jobs=1).
    Three passes per bundled property: an uncached reference, a cold
    portfolio pass (one cache shared across every property, so later
    rows can hit entries earlier rows populated — cross-property reuse),
@@ -418,7 +341,7 @@ let bench8_json_path =
 
 let cache_comparison () =
   print_endline
-    "== Discharge cache + portfolio: uncached vs cold vs warm (jobs=1, incremental) ==";
+    "== Discharge cache + portfolio: uncached vs cold vs warm (jobs=1) ==";
   let cases =
     List.map (fun s -> ("bv", Models.Bv_ta.automaton, s)) Models.Bv_ta.table2_specs
     @ List.map
@@ -429,7 +352,7 @@ let cache_comparison () =
         (if quick then [ Models.Simplified_ta.inv1_0; Models.Simplified_ta.sround_term ]
          else Models.Simplified_ta.table2_specs)
   in
-  let limits = { limits with Holistic.Checker.jobs = 1; incremental = true } in
+  let limits = { limits with Holistic.Checker.jobs = 1 } in
   let portfolio = Smt.Portfolio.create (Smt.Qcache.create ()) in
   (* Pass 1+2 per property: uncached reference, then cold (populating). *)
   let cold_runs =
@@ -763,12 +686,11 @@ let () =
    | _ -> ());
   Printf.printf
     "Reproduction of 'Holistic Verification of Blockchain Consensus' (DISC 2022)\n";
-  Printf.printf "mode: %s; naive-TA budget: %.0fs; jobs: %d (of %d recommended)%s%s\n\n"
+  Printf.printf "mode: %s; naive-TA budget: %.0fs; jobs: %d (of %d recommended)%s\n\n"
     (if quick then "quick" else "full")
     naive_budget jobs
     (Domain.recommended_domain_count ())
-    (if slice then "; slicing enabled" else "")
-    (if incremental then "" else "; incremental discharge disabled");
+    (if slice then "; slicing enabled" else "");
   table2 ();
   if Holistic.Checker.interrupt_requested () then begin
     print_endline
@@ -777,7 +699,6 @@ let () =
   end;
   counterexample ();
   speedup ();
-  incremental_comparison ();
   certificates ();
   static_comparison ();
   cache_comparison ();

@@ -139,22 +139,6 @@ let info_cmd =
 
 (* --- verify -------------------------------------------------------- *)
 
-(* Shared by verify and table2: the incremental prefix-sharing engine is
-   the default; --no-incremental selects the flat one-query-per-schema
-   engines (outcomes are bit-identical, solver effort differs). *)
-let incremental_arg =
-  Arg.(value
-       & vflag true
-           [
-             ( true,
-               info [ "incremental" ]
-                 ~doc:"Discharge schemas incrementally along the enumeration tree, \
-                       pruning subtrees with unsatisfiable prefixes (default)." );
-             ( false,
-               info [ "no-incremental" ]
-                 ~doc:"Solve one self-contained query per schema (the flat engine)." );
-           ])
-
 (* Shared by verify and table2: the abstract-interpretation static
    discharge.  Soundness contract: verdicts, witnesses and schema counts
    are bit-identical either way; --no-static exists to demonstrate (and
@@ -355,7 +339,7 @@ let verify_cmd =
                    JSON line per certificate to this file, replayable with \
                    $(b,holistic check-cert).  Forces the sequential engine (--jobs 1).")
   in
-  let run model spec_name broken max_schemas budget jobs incremental static worker_stats
+  let run model spec_name broken max_schemas budget jobs static worker_stats
       slice force checkpoint resume checkpoint_every emit_certs memo cache
       portfolio_check =
     gate ~force ~broken model;
@@ -369,12 +353,8 @@ let verify_cmd =
         fst (Analysis.slice ~keep:(List.concat_map Analysis.spec_locations specs) ta)
       else ta
     in
-    (* Certificate emission lives in the sequential engines only: the
-       parallel pools would interleave lines from several domains. *)
-    let jobs = if emit_certs = None then jobs else 1 in
     let limits =
-      { Holistic.Checker.default_limits with max_schemas; time_budget = budget; jobs;
-        incremental; static }
+      { Holistic.Checker.default_limits with max_schemas; time_budget = budget; jobs; static }
     in
     let cert_oc = Option.map open_out emit_certs in
     let certs = Option.map Holistic.Certs.create cert_oc in
@@ -414,7 +394,7 @@ let verify_cmd =
        ~doc:"Verify properties for all parameters n > 3t, t >= f >= 0 (the paper's \
              parameterized model checking).")
     Term.(const run $ model_arg $ spec_arg $ broken $ max_schemas $ budget $ jobs
-          $ incremental_arg $ static_arg $ worker_stats $ slice $ force $ checkpoint_arg
+          $ static_arg $ worker_stats $ slice $ force $ checkpoint_arg
           $ resume_arg $ checkpoint_every_arg $ emit_certs $ memo_arg $ cache_arg
           $ portfolio_check_arg)
 
@@ -773,7 +753,7 @@ let table2_cmd =
            ~doc:"Append one Table-2-style row per (model-zoo entry, property) after \
                  the paper rows (paper-time column is \"-\").")
   in
-  let run quick budget format jobs incremental static slice force zoo checkpoint resume
+  let run quick budget format jobs static slice force zoo checkpoint resume
       checkpoint_every memo cache portfolio_check =
     List.iter (gate ~force) [ Bv; Naive; Simplified ];
     if zoo then
@@ -781,7 +761,7 @@ let table2_cmd =
     install_interrupt_handlers ();
     ensure_checkpoint_dir checkpoint;
     let portfolio = setup_portfolio ~memo ~cache ~check:portfolio_check in
-    let limits = { Holistic.Checker.default_limits with jobs; incremental; static } in
+    let limits = { Holistic.Checker.default_limits with jobs; static } in
     let rows =
       with_input_errors (fun () ->
           Report.table2 ~limits ~slice ?checkpoint_dir:checkpoint ~resume
@@ -802,7 +782,7 @@ let table2_cmd =
   in
   Cmd.v
     (Cmd.info "table2" ~doc:"Regenerate the paper's Table 2 (also see bench/main.exe).")
-    Term.(const run $ quick $ budget $ format $ jobs $ incremental_arg $ static_arg
+    Term.(const run $ quick $ budget $ format $ jobs $ static_arg
           $ slice $ force $ zoo $ checkpoint_arg $ resume_arg $ checkpoint_every_arg
           $ memo_arg $ cache_arg $ portfolio_check_arg)
 

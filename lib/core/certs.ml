@@ -1,5 +1,5 @@
 (* Certificate emission for [--emit-certs]: every UNSAT verdict the
-   sequential engines produce — a discharged schema or a pruned prefix —
+   checker produces — a discharged schema or a pruned prefix —
    is re-proved on the certifying LIA engine and written as one JSONL
    line that [holistic check-cert] replays against the standalone
    {!Smt.Certcheck}.  The certifying solver keeps its own step counter,

@@ -1,8 +1,9 @@
 (** Certificate emission sink for [--emit-certs].
 
-    A sink re-proves each UNSAT verdict of the sequential engines on the
-    certifying LIA engine ({!Smt.Lia.solve_cert}) and appends one
-    canonical-JSON line per verdict to its channel:
+    A sink re-proves each UNSAT verdict of a checker run (sequential
+    whenever a sink is attached) on the certifying LIA engine
+    ({!Smt.Lia.solve_cert}) and appends one canonical-JSON line per
+    verdict to its channel:
 
     - [{"kind":"schema","position":p,"atoms":[...],"branches":[...],
        "cert":{...}}] — a schema discharged UNSAT at enumeration

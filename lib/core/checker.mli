@@ -10,45 +10,38 @@
     absorbing violation target.  All three automata of the paper
     qualify.
 
-    With [limits.jobs > 1] the schema queries are discharged on that
-    many OCaml 5 worker domains ({!Pool}) while the enumeration runs as
-    a producer.  The first satisfiable/unknown schema {e in enumeration
-    order} still decides the result, so outcomes, witnesses and schema
-    counts are bit-identical to the sequential engine ([jobs = 1]); only
-    wall-clock time and the per-worker utilisation split differ.  (The
-    one necessarily racy case: a [time_budget] abort may land on a
-    different schema count — true of two sequential runs as well.)
+    The engine walks the enumeration tree once per property: each event
+    pushes its constraint delta onto warm {!Encode.session}/
+    {!Smt.Lia.session} stacks, and prefixes the session's zero-step
+    layers ({!Smt.Lia.check_quick}: interval propagation, model cache)
+    prove unsatisfiable prune their whole subtree — sound because
+    finalizing a schema only appends atoms to its prefix (see
+    DESIGN.md).  Surviving schemas are discharged on the finalized
+    query, which is exactly the query {!Encode.encode} builds for the
+    schema alone, so outcomes, witnesses, schema counts and slot totals
+    are those of solving every schema on its own, and the solver-step
+    total is at most that one-query-per-schema total: the steps counted
+    are exactly those of the schemas that were not pruned.
 
-    With [limits.incremental] (the default) the enumeration tree is
-    walked once per property: each event pushes its constraint delta
-    onto warm {!Encode.session}/{!Smt.Lia.session} stacks, and prefixes
-    the session's zero-step layers ({!Smt.Lia.check_quick}: interval
-    propagation, model cache) prove unsatisfiable prune their whole
-    subtree — sound because finalizing a schema only appends atoms to
-    its prefix (see DESIGN.md).  Surviving schemas are discharged on
-    the same finalized query as the flat engine.  Outcomes, witnesses,
-    schema counts and slot totals match the flat engines exactly, and
-    because reachability checks never touch the simplex, the solver-step
-    total is at most the flat engine's on {e every} property — the steps
-    counted are exactly the flat solves of the schemas that were not
-    pruned.  The two axes compose: [jobs > 1] with [incremental]
-    partitions the tree into contiguous preorder blocks.  Pruning is a
-    deterministic function of the prefix, so the parallel incremental
-    engine solves the same schema set (same solver-step total); only the
-    granularity counters (subtrees pruned, prefix hits) differ, one
-    sequential prune possibly surfacing as several pruned jobs. *)
+    With [limits.jobs > 1] the tree is cut into contiguous preorder
+    ranges, and each range is the same walk, run on one of that many
+    OCaml 5 worker domains ({!Pool}) while the cut runs as a producer.
+    The first satisfiable/unknown schema {e in enumeration order} still
+    decides the result, so outcomes, witnesses, schema counts and slot
+    totals are bit-identical to the sequential engine ([jobs = 1]).
+    Pruning is a deterministic function of the prefix, so both solve the
+    same schema set; only wall-clock time, the per-worker utilisation
+    split and the granularity counters (subtrees pruned, prefix hits)
+    differ, one sequential prune possibly surfacing as several pruned
+    jobs.  (The one necessarily racy case: a [time_budget] abort may
+    land on a different schema count — true of two sequential runs as
+    well.) *)
 
 type limits = {
   max_schemas : int;  (** abort the enumeration beyond this many schemas *)
   time_budget : float option;  (** wall-clock seconds; [None] = unlimited *)
   lia_max_steps : int;  (** branch-and-bound budget per query *)
-  jobs : int;  (** worker domains; [1] = the sequential reference engine *)
-  incremental : bool;
-      (** discharge schemas incrementally along the enumeration tree,
-          sharing each common prefix's encoding and solver state and
-          pruning whole subtrees whose prefix is already unsatisfiable
-          (default).  Outcomes, witnesses and schema counts are
-          bit-identical to the flat engine; only solver effort differs. *)
+  jobs : int;  (** worker domains; [1] = the sequential engine *)
   static : bool;
       (** discharge schemas statically when the invariant engine
           ({!Analysis.Invariants}) carries a certified refutation of
@@ -101,26 +94,23 @@ type stats = {
   schemas_checked : int;
       (** schemas discharged: solved directly, or covered by a pruned
           subtree — always the number of enumeration positions consumed,
-          so it is identical across all four engines *)
+          so it is identical for every [jobs] *)
   schemas_skipped : int;
-      (** of those, schemas never solved individually because an
-          unsatisfiable prefix pruned their subtree (0 for the flat
-          engines) *)
-  subtrees_pruned : int;  (** prefix-UNSAT subtree prunes (0 when flat) *)
+      (** of those, schemas never solved individually because their
+          subtree was pruned *)
+  subtrees_pruned : int;  (** refuted subtrees skipped without solving *)
   core_prunes : int;
       (** of those, sibling subtrees skipped without any reach-check
           because the last conflict's unsat core was confined to frames
           strictly below them — the core refutes every extension of the
-          shallower prefix, siblings included (0 when flat) *)
+          shallower prefix, siblings included *)
   static_prunes : int;
-      (** refutations applied by the invariant engine at zero solver
-          steps: statically discharged schemas (flat engines) or
-          statically pruned subtrees (incremental engines, a subset of
-          [subtrees_pruned]); 0 with [limits.static = false] *)
+      (** of those, subtrees refuted by the invariant engine at zero
+          solver steps; 0 with [limits.static = false] *)
   prefix_hits : int;
-      (** incremental reachability checks answered definitively by the
-          prefix state — the propagated interval store or the cached
-          model — at zero solver steps (0 when flat) *)
+      (** reachability checks answered definitively by the prefix state
+          — the propagated interval store or the cached model — at zero
+          solver steps *)
   slots_total : int;  (** sum of schema lengths (rule slots) *)
   solver_steps : int;  (** total simplex calls over the counted schemas *)
   encode_time : float;  (** wall-clock seconds spent building queries *)
@@ -185,12 +175,12 @@ val interrupt_requested : unit -> bool
     position just before its discharge; a raising failpoint exercises
     the retry/quarantine path ({!Partial}).
 
-    [?certs] attaches a certificate emission sink ({!Certs}): the
-    sequential engines re-prove every UNSAT verdict — discharged schema
-    or pruned prefix — on the certifying LIA engine and append one JSONL
-    line per verdict, replayable with [holistic check-cert].  The
-    parallel engines ignore the sink (drivers force [jobs = 1] when
-    emitting).
+    [?certs] attaches a certificate emission sink ({!Certs}): the run
+    re-proves every UNSAT verdict — discharged schema or pruned subtree
+    — on the certifying LIA engine and appends one JSONL line per
+    verdict, replayable with [holistic check-cert].  A run with a sink
+    is sequential whatever [limits.jobs] says (and reports [jobs = 1]),
+    so the records tile the transcript in preorder.
 
     [?portfolio] routes every leaf discharge through a shared
     {!Smt.Portfolio}: structurally repeated queries are answered from

@@ -371,7 +371,7 @@ let encode u spec (schema : Schema.t) =
    literal zero.  Locations are {!Universe.location_index} indices and
    the populated set is one byte per location, so a simulated segment
    is a scan of [moves] with no name lookups.  Used to account pruned
-   subtrees at flat-engine parity cost (see Checker). *)
+   subtrees with the slot counts [encode] reports (see Checker). *)
 
 module Sim = struct
   type t = {

@@ -69,8 +69,8 @@ val finalize : session -> encoded
 (** {1 Slot simulation}
 
     Per-schema slot counts without building any linear expressions, used
-    to account schemas skipped by subtree pruning at the same cost the
-    flat engine would have reported.  Mirrors the encoder's slot-skip
+    to account schemas skipped by subtree pruning with the slot counts
+    {!encode} would have reported.  Mirrors the encoder's slot-skip
     rule exactly: a location's counter is the zero expression iff it is
     neither an unblocked initial location nor the target of an executed
     slot (counters only ever gain fresh factor terms, so non-zeroness is

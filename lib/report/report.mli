@@ -11,7 +11,7 @@ type row = {
   schemas : string;
   avg_len : string;
   steps : string;  (** total simplex steps *)
-  skipped : string;  (** schemas covered by pruned subtrees (0 when flat) *)
+  skipped : string;  (** schemas covered by pruned subtrees *)
   time : string;
   verdict : string;
   paper : string;  (** the paper's reported time for this row *)
@@ -32,10 +32,10 @@ val size_string : Ta.Automaton.t -> string
 val checkpoint_file : dir:string -> string -> Ta.Spec.t -> string
 
 (** [limits] (default {!Holistic.Checker.default_limits}) carries every
-    budget — worker domains, incremental vs flat discharge, schema and
-    solver-step caps — in one value; every row's verdict/schema columns
-    are identical for any [jobs]/[incremental] choice, only wall-clock
-    and the solver-effort columns change.  [slice] (default false) runs
+    budget — worker domains, static discharge, schema and solver-step
+    caps — in one value; every row's verdict/schema columns are
+    identical for any [jobs]/[static] choice, only wall-clock and the
+    solver-effort columns change.  [slice] (default false) runs
     the automaton through {!Analysis.slice} first (keeping the locations
     the row's specs mention): outcomes and witnesses are unchanged,
     schema counts can only shrink.

@@ -7,11 +7,11 @@
      (TA024) whose join keeps lowering one row's bound until the
      per-row widening limit trips;
    - the checker's static discharge: on every bundled bv property and
-     on the gadgets, all four engines (flat/incremental x sequential/
-     parallel) with static discharge on must report bit-identical
-     outcomes, schema counts and slot totals to the same engine with
-     it off, never more solver steps, and emit Static certificates
-     that replay through the standalone checker;
+     on the gadgets, the sequential and the parallel engine with static
+     discharge on must report bit-identical outcomes, schema counts and
+     slot totals to the same engine with it off, never more solver
+     steps (sequentially), and emit Static certificates that replay
+     through the standalone checker;
    - the strengthened slicer: semantic slicing composes with
      checkpoint/resume, and the checkpoint fingerprint refuses a
      sliced/unsliced mismatch in both directions.
@@ -29,9 +29,8 @@ module Ck = Holistic.Checker
 module Ab = Analysis.Absint
 module D = Analysis.Domain
 
-let limits ?(max_schemas = 100_000) ?(jobs = 1) ?(incremental = true)
-    ?(static = true) () =
-  { Ck.default_limits with max_schemas; jobs; incremental; static }
+let limits ?(max_schemas = 100_000) ?(jobs = 1) ?(static = true) () =
+  { Ck.default_limits with max_schemas; jobs; static }
 
 let outcome_repr = function
   | Ck.Holds -> "holds"
@@ -229,20 +228,15 @@ let test_invariants_root () =
     | Error msg -> Alcotest.failf "root certificate rejected: %s" msg)
 
 (* ------------------------------------------------------------------ *)
-(* Static discharge vs full solving, all four engine configurations.    *)
-
-let engine_configs =
-  [ ("flat seq", false, 1); ("inc seq", true, 1); ("flat par", false, 4); ("inc par", true, 4) ]
+(* Static discharge vs full solving, sequentially and in parallel.       *)
 
 let check_static_pair ?(expect_prunes = false) name u spec =
   List.iter
-    (fun (cfg, incremental, jobs) ->
-      let run static =
-        Ck.verify_with_universe ~limits:(limits ~jobs ~incremental ~static ()) u spec
-      in
+    (fun jobs ->
+      let run static = Ck.verify_with_universe ~limits:(limits ~jobs ~static ()) u spec in
       let plain = run false in
       let stat = run true in
-      let label s = Printf.sprintf "%s [%s]: %s" name cfg s in
+      let label s = Printf.sprintf "%s [jobs=%d]: %s" name jobs s in
       Alcotest.(check string) (label "outcome/witness")
         (outcome_repr plain.Ck.outcome) (outcome_repr stat.Ck.outcome);
       Alcotest.(check int) (label "schemas") plain.Ck.stats.schemas_checked
@@ -256,7 +250,7 @@ let check_static_pair ?(expect_prunes = false) name u spec =
       if expect_prunes then
         Alcotest.(check bool) (label "static prunes fire") true
           (stat.Ck.stats.static_prunes > 0))
-    engine_configs
+    [ 1; 4 ]
 
 let test_bundled_bv () =
   let u = Holistic.Universe.build Models.Bv_ta.automaton in
@@ -267,9 +261,7 @@ let test_bundled_bv () =
 let test_gadget_static_discharge () =
   let u = Holistic.Universe.build contradicted_ta in
   check_static_pair ~expect_prunes:true "contradicted reach-L3" u reach_l3_spec;
-  let stat =
-    Ck.verify_with_universe ~limits:(limits ~incremental:true ()) u reach_l3_spec
-  in
+  let stat = Ck.verify_with_universe ~limits:(limits ()) u reach_l3_spec in
   (match stat.Ck.outcome with
    | Ck.Holds -> ()
    | o -> Alcotest.failf "gadget should hold, got %s" (outcome_repr o));
@@ -291,7 +283,7 @@ let test_static_certificate_emission () =
   let oc = open_out path in
   let sink = Holistic.Certs.create oc in
   let r =
-    Ck.verify_with_universe ~limits:(limits ~incremental:true ()) ~certs:sink u
+    Ck.verify_with_universe ~limits:(limits ()) ~certs:sink u
       reach_l3_spec
   in
   close_out oc;
@@ -457,22 +449,22 @@ let reach_spec =
 
 let static_agrees descs =
   let ta = build_ta descs in
-  let run ~incremental ~static =
-    Ck.verify ~limits:(limits ~max_schemas:5_000 ~incremental ~static ()) ta reach_spec
+  let run ~jobs ~static =
+    Ck.verify ~limits:(limits ~max_schemas:5_000 ~jobs ~static ()) ta reach_spec
   in
   List.for_all
-    (fun incremental ->
-      let plain = run ~incremental ~static:false in
-      let stat = run ~incremental ~static:true in
+    (fun jobs ->
+      let plain = run ~jobs ~static:false in
+      let stat = run ~jobs ~static:true in
       (match stat.Ck.outcome with
        | Ck.Aborted _ | Ck.Partial _ -> QCheck.assume_fail ()
        | _ -> ());
       outcome_repr plain.Ck.outcome = outcome_repr stat.Ck.outcome
       && plain.Ck.stats.schemas_checked = stat.Ck.stats.schemas_checked
       && plain.Ck.stats.slots_total = stat.Ck.stats.slots_total
-      && stat.Ck.stats.solver_steps <= plain.Ck.stats.solver_steps
+      && (jobs > 1 || stat.Ck.stats.solver_steps <= plain.Ck.stats.solver_steps)
       && plain.Ck.stats.static_prunes = 0)
-    [ false; true ]
+    [ 1; 2 ]
 
 let slice_checkpoint_composes descs =
   let ta = build_ta descs in
@@ -514,7 +506,7 @@ let slice_checkpoint_composes descs =
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"random DAGs: static = non-static on both engines"
+      (QCheck.Test.make ~name:"random DAGs: static = non-static, sequential and parallel"
          ~count:30 arb_ta static_agrees);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"random DAGs: slice composes with checkpoint/resume"
@@ -536,7 +528,7 @@ let () =
         ] );
       ( "static discharge",
         [
-          Alcotest.test_case "bundled bv, all four engines" `Quick test_bundled_bv;
+          Alcotest.test_case "bundled bv, sequential and parallel" `Quick test_bundled_bv;
           Alcotest.test_case "gadget discharged at zero steps" `Quick
             test_gadget_static_discharge;
           Alcotest.test_case "static certificates emit and replay" `Quick

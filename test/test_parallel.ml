@@ -130,16 +130,9 @@ let test_pool_bad_jobs () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Engine-vs-engine comparison helpers.
+(* Engine-vs-engine comparison helpers.                                 *)
 
-   This suite pins the FLAT parallel engine to the flat sequential one
-   (solver-step totals included).  The incremental engines are pinned
-   separately in test_incremental.ml: their step totals legitimately
-   differ between jobs=1 and jobs>1 (per-worker solver sessions), so
-   the step-identity assertion below only holds with incremental off. *)
-
-let limits ?(max_schemas = 100_000) jobs =
-  { Ck.default_limits with jobs; max_schemas; incremental = false }
+let limits ?(max_schemas = 100_000) jobs = { Ck.default_limits with jobs; max_schemas }
 
 let outcome_repr = function
   | Ck.Holds -> "holds"

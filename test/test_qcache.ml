@@ -1,11 +1,10 @@
 (* The two-level discharge cache and the racing backend portfolio
    (Smt.Qcache / Smt.Portfolio / Holistic.Cachefile):
 
-   - cached-vs-uncached equivalence: all four engines (flat/incremental
-     x sequential/parallel) on every bundled bv property, and the two
-     sequential engines on random DAG automata, must report the same
-     outcome (witness included), schema count and slot total with a
-     portfolio as without one;
+   - cached-vs-uncached equivalence: the sequential and the parallel
+     engine, on every bundled bv property and on random DAG automata,
+     must report the same outcome (witness included), schema count and
+     slot total with a portfolio as without one;
    - warm-rerun determinism: a violated property re-verified against
      the populated cache reproduces the byte-identical witness, from
      cache hits;
@@ -24,9 +23,8 @@ module S = Ta.Spec
 module Ck = Holistic.Checker
 module J = Jsonc
 
-let limits ?(max_schemas = 100_000) ?(jobs = 1) ?(incremental = true)
-    ?(static = true) () =
-  { Ck.default_limits with max_schemas; jobs; incremental; static }
+let limits ?(max_schemas = 100_000) ?(jobs = 1) ?(static = true) () =
+  { Ck.default_limits with max_schemas; jobs; static }
 
 let outcome_repr = function
   | Ck.Holds -> "holds"
@@ -42,21 +40,19 @@ let with_temp_file f =
     (fun () -> f path)
 
 (* ------------------------------------------------------------------ *)
-(* Four-engine equivalence on the bundled bv model.  One portfolio
-   (with cross-checking on) is shared across every property and engine,
-   so later runs also exercise warm hits and cross-property reuse.      *)
+(* Both engines on the bundled bv model.  One portfolio (with
+   cross-checking on) is shared across every property and engine, so
+   later runs also exercise warm hits and cross-property reuse.         *)
 
-let test_bv_four_engines () =
+let test_bv_engines () =
   let portfolio = Smt.Portfolio.create ~check:true (Smt.Qcache.create ()) in
   let u = Holistic.Universe.build Models.Bv_ta.automaton in
   List.iter
     (fun spec ->
       List.iter
-        (fun (incremental, jobs) ->
-          let limits = limits ~jobs ~incremental () in
-          let label =
-            Printf.sprintf "%s inc=%b jobs=%d" spec.S.name incremental jobs
-          in
+        (fun jobs ->
+          let limits = limits ~jobs () in
+          let label = Printf.sprintf "%s jobs=%d" spec.S.name jobs in
           let plain = Ck.verify_with_universe ~limits u spec in
           let cached = Ck.verify_with_universe ~limits ~portfolio u spec in
           Alcotest.(check string)
@@ -69,7 +65,7 @@ let test_bv_four_engines () =
           Alcotest.(check int)
             (label ^ " slots") plain.Ck.stats.slots_total
             cached.Ck.stats.slots_total)
-        [ (false, 1); (false, 2); (true, 1); (true, 2) ])
+        [ 1; 2 ])
     Models.Bv_ta.table2_specs
 
 (* ------------------------------------------------------------------ *)
@@ -96,9 +92,9 @@ let test_warm_witness_determinism () =
     (warm.Ck.stats.cache.Smt.Portfolio.hits > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence roundtrip and the poisoned cache.  The flat sequential
-   engine discharges every schema as a leaf, so a fully-warm run needs
-   no solver steps at all.                                              *)
+(* Persistence roundtrip and the poisoned cache.  Every leaf the engine
+   discharges goes through the cache, and reachability pruning costs no
+   solver steps, so a fully-warm run needs no solver steps at all.      *)
 
 let set_cert cert = function
   | J.Obj fields ->
@@ -120,12 +116,12 @@ let test_persistence_and_poison () =
   let cache = Smt.Qcache.create () in
   let portfolio = Smt.Portfolio.create cache in
   let u = Holistic.Universe.build Models.Bv_ta.automaton in
-  (* BV-Obl0 with static discharge off: every one of the 19 schemas is
-     then a genuine leaf discharge, so the cold run populates one cache
-     entry per schema (BV-Just0 would be fully statically refuted and
-     leave the cache empty). *)
+  (* BV-Obl0 with static discharge off: its schemas are then genuine
+     leaf discharges, so the cold run populates one cache entry per
+     schema (BV-Just0 would be fully statically refuted and leave the
+     cache empty). *)
   let spec = List.nth Models.Bv_ta.table2_specs 1 in
-  let limits = limits ~incremental:false ~static:false () in
+  let limits = limits ~static:false () in
   let plain = Ck.verify_with_universe ~limits u spec in
   let _cold = Ck.verify_with_universe ~limits ~portfolio u spec in
   with_temp_file (fun path ->
@@ -187,7 +183,7 @@ let test_persistence_and_poison () =
 (* ------------------------------------------------------------------ *)
 (* Random DAG automata (the generator of test_incremental/test_absint):
    cached cold and warm runs agree with the uncached engine — outcome,
-   witness, schema count, slot total — on both sequential engines.      *)
+   witness, schema count, slot total — sequentially and in parallel.    *)
 
 let locations = [ "L0"; "L1"; "L2"; "L3" ]
 
@@ -267,10 +263,9 @@ let cached_agrees descs =
   let ta = build_ta descs in
   let portfolio = Smt.Portfolio.create ~check:true (Smt.Qcache.create ()) in
   List.for_all
-    (fun incremental ->
+    (fun jobs ->
       let run ?portfolio () =
-        Ck.verify ~limits:(limits ~max_schemas:5_000 ~incremental ()) ?portfolio ta
-          reach_spec
+        Ck.verify ~limits:(limits ~max_schemas:5_000 ~jobs ()) ?portfolio ta reach_spec
       in
       let plain = run () in
       (match plain.Ck.outcome with
@@ -284,15 +279,15 @@ let cached_agrees descs =
       && plain.Ck.stats.schemas_checked = warm.Ck.stats.schemas_checked
       && plain.Ck.stats.slots_total = cold.Ck.stats.slots_total
       && plain.Ck.stats.slots_total = warm.Ck.stats.slots_total)
-    [ false; true ]
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "qcache"
     [
       ( "engines",
         [
-          Alcotest.test_case "bv: four engines, cached vs uncached" `Quick
-            test_bv_four_engines;
+          Alcotest.test_case "bv: both engines, cached vs uncached" `Quick
+            test_bv_engines;
           Alcotest.test_case "warm witness determinism" `Quick
             test_warm_witness_determinism;
         ] );
