@@ -44,6 +44,10 @@ val pp : Format.formatter -> t -> unit
 val sign : t -> int
 
 val is_zero : t -> bool
+
+(** [is_one x] is [equal x one], without the comparison. *)
+val is_one : t -> bool
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -22,10 +22,11 @@ let den q = q.den
 
 let sign q = Bigint.sign q.num
 let is_zero q = Bigint.is_zero q.num
-let is_integer q = Bigint.equal q.den Bigint.one
+let is_integer q = Bigint.is_one q.den
 
 let compare a b =
-  Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+  if is_integer a && is_integer b then Bigint.compare a.num b.num
+  else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
@@ -34,13 +35,22 @@ let max a b = if compare a b >= 0 then a else b
 let neg q = { q with num = Bigint.neg q.num }
 let abs q = { q with num = Bigint.abs q.num }
 
+(* Zero operands and integers (denominator one) skip the cross products
+   and the gcd; every result is the canonical one [make] would build. *)
 let add a b =
-  make
-    (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
-    (Bigint.mul a.den b.den)
+  if is_zero a then b
+  else if is_zero b then a
+  else if is_integer a && is_integer b then of_bigint (Bigint.add a.num b.num)
+  else
+    make
+      (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
+      (Bigint.mul a.den b.den)
 
 let sub a b = add a (neg b)
-let mul a b = make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+let mul a b =
+  if is_zero a || is_zero b then zero
+  else if is_integer a && is_integer b then of_bigint (Bigint.mul a.num b.num)
+  else make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
 
 let inv q =
   if is_zero q then raise Division_by_zero;

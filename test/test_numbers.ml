@@ -134,6 +134,20 @@ let arb_big =
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
+(* Operands at the one-digit (2^30) and two-digit (2^60) edges, where
+   the native-int fast paths hand over to the digit loops. *)
+let arb_edge =
+  QCheck.map
+    (fun (k, d, neg) ->
+      let v = B.add (B.pow B.two k) (B.of_int d) in
+      if neg then B.neg v else v)
+    QCheck.(triple (oneofl [ 0; 1; 29; 30; 31; 59; 60; 61; 62; 90 ]) (int_range (-3) 3) bool)
+
+(* The representation is canonical: equal to its decimal re-parse. *)
+let canonical x =
+  let y = B.of_string (B.to_string x) in
+  B.equal x y && B.hash x = B.hash y
+
 let bigint_props =
   [
     prop "add matches int oracle" 1000 QCheck.(pair arb_small_int arb_small_int) (fun (a, b) ->
@@ -171,6 +185,31 @@ let bigint_props =
         B.equal (B.mul_int a n) (B.mul a (B.of_int n)));
     prop "hash respects equality" 500 arb_big (fun a ->
         B.hash a = B.hash (B.sub (B.add a B.one) B.one));
+    prop "of_int at digit edges is canonical" 1000
+      QCheck.(triple (int_range 0 62) (int_range (-3) 3) bool) (fun (k, d, neg) ->
+        let n = (1 lsl k) + d in
+        let n = if neg then -n else n in
+        List.for_all
+          (fun n -> canonical (B.of_int n) && B.to_string (B.of_int n) = string_of_int n)
+          [ n; min_int; max_int ]);
+    prop "divmod at digit edges reconstructs" 1000 QCheck.(pair arb_edge arb_edge) (fun (a, b) ->
+        QCheck.assume (not (B.is_zero b));
+        let q, r = B.divmod a b in
+        canonical q && canonical r
+        && B.equal a (B.add (B.mul q b) r)
+        && B.compare (B.abs r) (B.abs b) < 0
+        && (B.is_zero r || B.sign r = B.sign a));
+    prop "add and mul at digit edges distribute" 1000 QCheck.(triple arb_edge arb_edge arb_edge)
+      (fun (a, b, c) ->
+        let l = B.mul a (B.add b c) and r = B.add (B.mul a b) (B.mul a c) in
+        canonical (B.add b c) && canonical (B.mul a b) && canonical l && B.equal l r);
+    prop "gcd at digit edges divides both, Euclid-invariant" 1000 QCheck.(pair arb_edge arb_edge)
+      (fun (a, b) ->
+        QCheck.assume (not (B.is_zero b));
+        let g = B.gcd a b in
+        canonical g && B.sign g > 0
+        && B.is_zero (B.rem a g) && B.is_zero (B.rem b g)
+        && B.equal g (B.gcd b (B.rem a b)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -215,8 +254,38 @@ let arb_q =
     (fun (n, d) -> Q.of_ints n (1 + abs d))
     QCheck.(pair (int_range (-10000) 10000) (int_range 0 9999))
 
+(* Rationals whose numerator and denominator sit at the digit edges,
+   integers (denominator one) among them. *)
+let arb_q_edge =
+  QCheck.map
+    (fun (n, d, integer) ->
+      if integer then Q.of_bigint n else Q.make n (if B.is_zero d then B.one else d))
+    QCheck.(triple arb_edge arb_edge bool)
+
+(* Cross-multiplied sum, product and comparison through [Q.make]: the
+   reference the zero and integer shortcuts must reproduce. *)
+let q_ref_add a b =
+  Q.make
+    (B.add (B.mul (Q.num a) (Q.den b)) (B.mul (Q.num b) (Q.den a)))
+    (B.mul (Q.den a) (Q.den b))
+
+let q_ref_mul a b = Q.make (B.mul (Q.num a) (Q.num b)) (B.mul (Q.den a) (Q.den b))
+
+let q_ref_compare a b = B.compare (B.mul (Q.num a) (Q.den b)) (B.mul (Q.num b) (Q.den a))
+
 let rational_props =
   [
+    prop "q add, mul, compare at digit edges match the cross-multiplied reference" 1000
+      QCheck.(pair arb_q_edge arb_q_edge) (fun (a, b) ->
+        Q.to_string (Q.add a b) = Q.to_string (q_ref_add a b)
+        && Q.to_string (Q.mul a b) = Q.to_string (q_ref_mul a b)
+        && compare (Q.compare a b) 0 = compare (q_ref_compare a b) 0);
+    prop "q zero operands at digit edges" 500 arb_q_edge (fun a ->
+        Q.to_string (Q.add a Q.zero) = Q.to_string (q_ref_add a Q.zero)
+        && Q.to_string (Q.add Q.zero a) = Q.to_string a
+        && Q.to_string (Q.mul a Q.zero) = "0"
+        && Q.is_zero (Q.mul Q.zero a)
+        && B.is_one (Q.den (Q.mul a Q.zero)));
     prop "q add commutes" 500 QCheck.(pair arb_q arb_q) (fun (a, b) ->
         Q.equal (Q.add a b) (Q.add b a));
     prop "q mul inverse" 500 arb_q (fun a ->
