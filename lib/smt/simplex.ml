@@ -11,16 +11,114 @@ exception Timeout
    deadline, overshoot is bounded by the cost of this many pivots. *)
 let stop_interval = 64
 
+(* A tableau row: basic variable [var] as a linear combination of
+   nonbasic variables, stored as parallel arrays of columns and nonzero
+   coefficients in no particular order.  Rows are rewritten in place by
+   pivoting, so a pivot allocates only the new coefficients. *)
+type row = {
+  mutable var : int;
+  mutable cols : int array;
+  mutable coefs : Q.t array;
+  mutable len : int;
+}
+
 (* Internal solver state over densely numbered variables [0, nvars).
-   Rows map a basic variable to its expression over nonbasic variables. *)
+   [rows.(0 .. nrows-1)] is the tableau; [row_of.(x)] is the index of
+   basic [x]'s row, [-1] for a nonbasic variable.  [pos] is scratch
+   space for merging rows, [-1] everywhere between merges. *)
 type state = {
   nvars : int;
-  rows : (int, Q.t IntMap.t) Hashtbl.t;
+  rows : row array;
+  nrows : int;
+  row_of : int array;
+  pos : int array;
   beta : Delta.t array;
   lower : Delta.t option array;
   upper : Delta.t option array;
-  basic : bool array;
 }
+
+let row_of_terms var terms =
+  let n = List.length terms in
+  let cols = Array.make n 0 and coefs = Array.make n Q.zero in
+  List.iteri
+    (fun q (c, v) ->
+      cols.(q) <- v;
+      coefs.(q) <- c)
+    terms;
+  { var; cols; coefs; len = n }
+
+(* Index of column [x] in [row], or [-1]. *)
+let find row x =
+  let rec go q = if q >= row.len then -1 else if row.cols.(q) = x then q else go (q + 1) in
+  go 0
+
+let append row col a =
+  if row.len = Array.length row.cols then begin
+    let cap = Stdlib.max 4 (2 * row.len) in
+    let cols = Array.make cap 0 and coefs = Array.make cap Q.zero in
+    Array.blit row.cols 0 cols 0 row.len;
+    Array.blit row.coefs 0 coefs 0 row.len;
+    row.cols <- cols;
+    row.coefs <- coefs
+  end;
+  row.cols.(row.len) <- col;
+  row.coefs.(row.len) <- a;
+  row.len <- row.len + 1
+
+(* Drop the zero coefficients. *)
+let compact row =
+  let k = ref 0 in
+  for q = 0 to row.len - 1 do
+    let a = row.coefs.(q) in
+    if not (Q.is_zero a) then begin
+      if !k < q then begin
+        row.cols.(!k) <- row.cols.(q);
+        row.coefs.(!k) <- a
+      end;
+      incr k
+    end
+  done;
+  for q = !k to row.len - 1 do
+    row.coefs.(q) <- Q.zero
+  done;
+  row.len <- !k
+
+(* Merging into a row: [index] records each column's position in
+   [pos], [add_scaled] adds [c] times [src] (keeping [pos] current), and
+   [unindex] clears [pos] again before [compact] moves entries. *)
+let index pos row =
+  for q = 0 to row.len - 1 do
+    pos.(row.cols.(q)) <- q
+  done
+
+let unindex pos row =
+  for q = 0 to row.len - 1 do
+    pos.(row.cols.(q)) <- -1
+  done
+
+let add_entry pos row k a =
+  let pk = pos.(k) in
+  if pk >= 0 then row.coefs.(pk) <- Q.add row.coefs.(pk) a
+  else begin
+    pos.(k) <- row.len;
+    append row k a
+  end
+
+let add_scaled pos row c src =
+  for q = 0 to src.len - 1 do
+    add_entry pos row src.cols.(q) (Q.mul c src.coefs.(q))
+  done
+
+(* Replace the entry at [p] of [row], column xj with coefficient [c], by
+   [c] times [row_j] (xj's defining row). *)
+let substitute pos row p c row_j =
+  row.coefs.(p) <- Q.zero;
+  index pos row;
+  add_scaled pos row c row_j;
+  unindex pos row;
+  compact row
+
+let is_basic st x = st.row_of.(x) >= 0
 
 let below_lower st x =
   match st.lower.(x) with None -> false | Some l -> Delta.compare st.beta.(x) l < 0
@@ -31,12 +129,11 @@ let above_upper st x =
 (* Shift a nonbasic variable to value [v], propagating to basic rows. *)
 let update st x v =
   let dv = Delta.sub v st.beta.(x) in
-  Hashtbl.iter
-    (fun b row ->
-      match IntMap.find_opt x row with
-      | None -> ()
-      | Some a -> st.beta.(b) <- Delta.add st.beta.(b) (Delta.scale a dv))
-    st.rows;
+  for r = 0 to st.nrows - 1 do
+    let row = st.rows.(r) in
+    let p = find row x in
+    if p >= 0 then st.beta.(row.var) <- Delta.add st.beta.(row.var) (Delta.scale row.coefs.(p) dv)
+  done;
   st.beta.(x) <- v
 
 let assert_upper st x c =
@@ -46,7 +143,7 @@ let assert_upper st x c =
      | Some l when Delta.compare c l < 0 -> raise Conflict
      | _ -> ());
     st.upper.(x) <- Some c;
-    if (not st.basic.(x)) && Delta.compare st.beta.(x) c > 0 then update st x c
+    if (not (is_basic st x)) && Delta.compare st.beta.(x) c > 0 then update st x c
   end
 
 let assert_lower st x c =
@@ -56,54 +153,55 @@ let assert_lower st x c =
      | Some u when Delta.compare c u > 0 -> raise Conflict
      | _ -> ());
     st.lower.(x) <- Some c;
-    if (not st.basic.(x)) && Delta.compare st.beta.(x) c < 0 then update st x c
+    if (not (is_basic st x)) && Delta.compare st.beta.(x) c < 0 then update st x c
   end
 
 (* Pivot basic [xi] with nonbasic [xj] and set beta(xi) to [v]. *)
 let pivot_and_update st xi xj v =
-  let row_i = Hashtbl.find st.rows xi in
-  let aij = IntMap.find xj row_i in
-  let theta = Delta.scale (Q.inv aij) (Delta.sub v st.beta.(xi)) in
+  let r = st.row_of.(xi) in
+  let row_i = st.rows.(r) in
+  let p = find row_i xj in
+  let aij = row_i.coefs.(p) in
+  let inv = Q.inv aij in
+  let theta = Delta.scale inv (Delta.sub v st.beta.(xi)) in
   st.beta.(xi) <- v;
   st.beta.(xj) <- Delta.add st.beta.(xj) theta;
-  Hashtbl.iter
-    (fun xk row ->
-      if xk <> xi then
-        match IntMap.find_opt xj row with
-        | None -> ()
-        | Some akj -> st.beta.(xk) <- Delta.add st.beta.(xk) (Delta.scale akj theta))
-    st.rows;
-  (* Derive the new row for xj:  xj = xi/aij - sum_{k<>j} (aik/aij) xk. *)
-  Hashtbl.remove st.rows xi;
-  let inv = Q.inv aij in
-  let row_j =
-    IntMap.fold
-      (fun k aik acc ->
-        if k = xj then acc else IntMap.add k (Q.neg (Q.mul aik inv)) acc)
-      row_i
-      (IntMap.singleton xi inv)
-  in
-  (* Substitute xj in every remaining row. *)
-  let subst_row row =
-    match IntMap.find_opt xj row with
-    | None -> row
-    | Some c ->
-      let row = IntMap.remove xj row in
-      IntMap.fold
-        (fun k cj acc ->
-          let add = Q.mul c cj in
-          match IntMap.find_opt k acc with
-          | None -> if Q.is_zero add then acc else IntMap.add k add acc
-          | Some c0 ->
-            let c' = Q.add c0 add in
-            if Q.is_zero c' then IntMap.remove k acc else IntMap.add k c' acc)
-        row_j row
-  in
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) st.rows [] in
-  List.iter (fun k -> Hashtbl.replace st.rows k (subst_row (Hashtbl.find st.rows k))) keys;
-  Hashtbl.replace st.rows xj row_j;
-  st.basic.(xi) <- false;
-  st.basic.(xj) <- true
+  (* Turn row_i into the row for xj in place:
+     xj = xi/aij - sum_{k<>j} (aik/aij) xk. *)
+  let neg_inv = Q.neg inv in
+  for q = 0 to row_i.len - 1 do
+    if q = p then begin
+      row_i.cols.(q) <- xi;
+      row_i.coefs.(q) <- inv
+    end
+    else row_i.coefs.(q) <- Q.mul row_i.coefs.(q) neg_inv
+  done;
+  row_i.var <- xj;
+  st.row_of.(xi) <- -1;
+  st.row_of.(xj) <- r;
+  (* Substitute xj in every other row. *)
+  for r' = 0 to st.nrows - 1 do
+    if r' <> r then begin
+      let row = st.rows.(r') in
+      let pk = find row xj in
+      if pk >= 0 then begin
+        let c = row.coefs.(pk) in
+        st.beta.(row.var) <- Delta.add st.beta.(row.var) (Delta.scale c theta);
+        substitute st.pos row pk c row_i
+      end
+    end
+  done
+
+(* The smallest column of [row] that [ok] accepts, or [-1].  Rows are
+   unordered, so every entry is looked at; this is the first eligible
+   column in ascending order, as Bland's rule asks. *)
+let bland_column row ok =
+  let best = ref (-1) in
+  for q = 0 to row.len - 1 do
+    let k = row.cols.(q) in
+    if (!best < 0 || k < !best) && ok k row.coefs.(q) then best := k
+  done;
+  !best
 
 (* Main check loop with Bland's rule (smallest indices) for termination.
    An aborted loop ([stop] raised {!Timeout} mid-search) leaves a valid
@@ -118,64 +216,43 @@ let check_core ?stop st =
       if !pivots mod stop_interval = 0 && f () then raise Timeout;
       incr pivots
   in
+  let can_increase k = match st.upper.(k) with None -> true | Some u -> Delta.compare st.beta.(k) u < 0 in
+  let can_decrease k = match st.lower.(k) with None -> true | Some l -> Delta.compare st.beta.(k) l > 0 in
   let rec loop () =
     see_stop ();
-    let violating = ref None in
-    for x = st.nvars - 1 downto 0 do
-      if st.basic.(x) && (below_lower st x || above_upper st x) then violating := Some x
+    (* The smallest basic variable outside its bounds. *)
+    let xi = ref (-1) in
+    for r = 0 to st.nrows - 1 do
+      let x = st.rows.(r).var in
+      if (!xi < 0 || x < !xi) && (below_lower st x || above_upper st x) then xi := x
     done;
-    match !violating with
-    | None -> `Ok
-    | Some xi ->
-      let row = Hashtbl.find st.rows xi in
+    if !xi < 0 then `Ok
+    else begin
+      let xi = !xi in
+      let row = st.rows.(st.row_of.(xi)) in
       if below_lower st xi then begin
         (* Increase xi. *)
-        let xj = ref None in
-        IntMap.iter
-          (fun k a ->
-            if !xj = None then
-              let ok =
-                if Q.sign a > 0 then
-                  match st.upper.(k) with
-                  | None -> true
-                  | Some u -> Delta.compare st.beta.(k) u < 0
-                else
-                  match st.lower.(k) with
-                  | None -> true
-                  | Some l -> Delta.compare st.beta.(k) l > 0
-              in
-              if ok then xj := Some k)
-          row;
-        match !xj with
-        | None -> `Conflict (xi, `Below)
-        | Some xj ->
+        let xj =
+          bland_column row (fun k a -> if Q.sign a > 0 then can_increase k else can_decrease k)
+        in
+        if xj < 0 then `Conflict (xi, `Below)
+        else begin
           pivot_and_update st xi xj (Option.get st.lower.(xi));
           loop ()
+        end
       end
       else begin
         (* Decrease xi. *)
-        let xj = ref None in
-        IntMap.iter
-          (fun k a ->
-            if !xj = None then
-              let ok =
-                if Q.sign a < 0 then
-                  match st.upper.(k) with
-                  | None -> true
-                  | Some u -> Delta.compare st.beta.(k) u < 0
-                else
-                  match st.lower.(k) with
-                  | None -> true
-                  | Some l -> Delta.compare st.beta.(k) l > 0
-              in
-              if ok then xj := Some k)
-          row;
-        match !xj with
-        | None -> `Conflict (xi, `Above)
-        | Some xj ->
+        let xj =
+          bland_column row (fun k a -> if Q.sign a < 0 then can_increase k else can_decrease k)
+        in
+        if xj < 0 then `Conflict (xi, `Above)
+        else begin
           pivot_and_update st xi xj (Option.get st.upper.(xi));
           loop ()
+        end
       end
+    end
   in
   loop ()
 
@@ -235,24 +312,20 @@ let solve_internal ?stop atoms =
       (List.filter (fun (a : Atom.t) -> not (Linexpr.is_const a.expr)) atoms)
   in
   let nvars = norig + !nslack in
+  let rows = Array.of_list (List.rev_map (fun (s, linear) -> row_of_terms s linear) !slack_rows) in
   let st =
     {
       nvars;
-      rows = Hashtbl.create 16;
+      rows;
+      nrows = Array.length rows;
+      row_of = Array.make nvars (-1);
+      pos = Array.make nvars (-1);
       beta = Array.make nvars Delta.zero;
       lower = Array.make nvars None;
       upper = Array.make nvars None;
-      basic = Array.make nvars false;
     }
   in
-  List.iter
-    (fun (s, linear) ->
-      let row =
-        List.fold_left (fun acc (c, v) -> IntMap.add v c acc) IntMap.empty linear
-      in
-      Hashtbl.replace st.rows s row;
-      st.basic.(s) <- true)
-    !slack_rows;
+  Array.iteri (fun r row -> st.row_of.(row.var) <- r) rows;
   List.iter
     (fun (target, rel, bound) ->
       let v, upper_side =
@@ -274,16 +347,7 @@ let solve_delta ?stop atoms =
   match solve_internal ?stop atoms with
   | exception Conflict -> None
   | original_vars, st ->
-    Some
-      (List.map
-         (fun v ->
-           let rec dense_of i = function
-             | [] -> assert false
-             | w :: _ when w = v -> i
-             | _ :: rest -> dense_of (i + 1) rest
-           in
-           (v, st.beta.(dense_of 0 original_vars)))
-         original_vars)
+    Some (List.mapi (fun i v -> (v, st.beta.(i))) original_vars)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental assertion-stack interface.
@@ -323,8 +387,10 @@ module Session = struct
     mutable upper : Delta.t option array;
     mutable lo_src : src array;
     mutable hi_src : src array;
-    mutable basic : bool array;
-    rows : (int, Q.t IntMap.t) Hashtbl.t;
+    mutable row_of : int array;
+    mutable pos : int array;
+    mutable rows : row array;
+    mutable nrows : int;
     dense : (int, int) Hashtbl.t;  (** external variable -> dense id *)
     mutable ext : int list;  (** external variables, reverse arrival order *)
     slack_of : ((Q.t * int) list, int) Hashtbl.t;
@@ -344,8 +410,10 @@ module Session = struct
       upper = Array.make 64 None;
       lo_src = Array.make 64 None;
       hi_src = Array.make 64 None;
-      basic = Array.make 64 false;
-      rows = Hashtbl.create 64;
+      row_of = Array.make 64 (-1);
+      pos = Array.make 64 (-1);
+      rows = [||];
+      nrows = 0;
       dense = Hashtbl.create 64;
       ext = [];
       slack_of = Hashtbl.create 64;
@@ -355,8 +423,8 @@ module Session = struct
     }
 
   let view s =
-    { nvars = s.n; rows = s.rows; beta = s.beta; lower = s.lower; upper = s.upper;
-      basic = s.basic }
+    { nvars = s.n; rows = s.rows; nrows = s.nrows; row_of = s.row_of; pos = s.pos;
+      beta = s.beta; lower = s.lower; upper = s.upper }
 
   let grow s =
     let cap = Array.length s.beta in
@@ -368,7 +436,8 @@ module Session = struct
       s.upper <- extend None s.upper;
       s.lo_src <- extend None s.lo_src;
       s.hi_src <- extend None s.hi_src;
-      s.basic <- extend false s.basic
+      s.row_of <- extend (-1) s.row_of;
+      s.pos <- extend (-1) s.pos
     end
 
   let alloc s =
@@ -380,7 +449,7 @@ module Session = struct
     s.upper.(v) <- None;
     s.lo_src.(v) <- None;
     s.hi_src.(v) <- None;
-    s.basic.(v) <- false;
+    s.row_of.(v) <- -1;
     v
 
   let dense_of s x =
@@ -457,7 +526,7 @@ module Session = struct
         record s x `Upper s.upper.(x) s.hi_src.(x);
         s.upper.(x) <- Some c;
         s.hi_src.(x) <- src;
-        if (not s.basic.(x)) && Delta.compare s.beta.(x) c > 0 then update (view s) x c
+        if s.row_of.(x) < 0 && Delta.compare s.beta.(x) c > 0 then update (view s) x c
     end
 
   let session_assert_lower s x c src =
@@ -472,7 +541,7 @@ module Session = struct
         record s x `Lower s.lower.(x) s.lo_src.(x);
         s.lower.(x) <- Some c;
         s.lo_src.(x) <- src;
-        if (not s.basic.(x)) && Delta.compare s.beta.(x) c < 0 then update (view s) x c
+        if s.row_of.(x) < 0 && Delta.compare s.beta.(x) c < 0 then update (view s) x c
     end
 
   (* Farkas explanation of a simplex conflict: basic [xi] stuck outside
@@ -481,26 +550,23 @@ module Session = struct
      (coefficient 1) with each row variable's blocking bound (coefficient
      |a_k|) cancels all variables and leaves a positive constant. *)
   let explain_conflict s xi dir =
-    let row = Hashtbl.find s.rows xi in
+    let row = s.rows.(s.row_of.(xi)) in
     let own =
       match dir with
       | `Below -> (s.lo_src.(xi), Q.one)
       | `Above -> (s.hi_src.(xi), Q.one)
     in
-    let contribs =
-      IntMap.fold
-        (fun k a acc ->
-          let entry =
-            match dir with
-            | `Below ->
-              if Q.sign a > 0 then (s.hi_src.(k), a) else (s.lo_src.(k), Q.neg a)
-            | `Above ->
-              if Q.sign a > 0 then (s.lo_src.(k), a) else (s.hi_src.(k), Q.neg a)
-          in
-          entry :: acc)
-        row [ own ]
-    in
-    combine contribs
+    let contribs = ref [ own ] in
+    for q = 0 to row.len - 1 do
+      let k = row.cols.(q) and a = row.coefs.(q) in
+      let entry =
+        match dir with
+        | `Below -> if Q.sign a > 0 then (s.hi_src.(k), a) else (s.lo_src.(k), Q.neg a)
+        | `Above -> if Q.sign a > 0 then (s.lo_src.(k), a) else (s.hi_src.(k), Q.neg a)
+      in
+      contribs := entry :: !contribs
+    done;
+    combine !contribs
 
   (* A new slack row must be expressed over nonbasic variables (the
      tableau invariant), so substitute the current definition of any
@@ -508,26 +574,27 @@ module Session = struct
      row dictates. *)
   let install_slack s linear =
     let slack = alloc s in
-    let row =
-      List.fold_left
-        (fun acc (c, v) ->
-          let contrib =
-            if s.basic.(v) then IntMap.map (Q.mul c) (Hashtbl.find s.rows v)
-            else IntMap.singleton v c
-          in
-          IntMap.union
-            (fun _ c1 c2 ->
-              let c' = Q.add c1 c2 in
-              if Q.is_zero c' then None else Some c')
-            acc contrib)
-        IntMap.empty linear
-    in
-    s.beta.(slack) <-
-      IntMap.fold
-        (fun v c acc -> Delta.add acc (Delta.scale c s.beta.(v)))
-        row Delta.zero;
-    Hashtbl.replace s.rows slack row;
-    s.basic.(slack) <- true;
+    let row = { var = slack; cols = [||]; coefs = [||]; len = 0 } in
+    List.iter
+      (fun (c, v) ->
+        let r = s.row_of.(v) in
+        if r >= 0 then add_scaled s.pos row c s.rows.(r) else add_entry s.pos row v c)
+      linear;
+    unindex s.pos row;
+    compact row;
+    let beta = ref Delta.zero in
+    for q = 0 to row.len - 1 do
+      beta := Delta.add !beta (Delta.scale row.coefs.(q) s.beta.(row.cols.(q)))
+    done;
+    s.beta.(slack) <- !beta;
+    if s.nrows = Array.length s.rows then begin
+      let rows = Array.make (Stdlib.max 64 (2 * s.nrows)) row in
+      Array.blit s.rows 0 rows 0 s.nrows;
+      s.rows <- rows
+    end;
+    s.rows.(s.nrows) <- row;
+    s.row_of.(slack) <- s.nrows;
+    s.nrows <- s.nrows + 1;
     Hashtbl.replace s.slack_of linear slack;
     slack
 
@@ -608,14 +675,14 @@ let solve ?stop atoms =
   | None -> Unsat
   | Some deltas ->
     (* Concretize delta: start at 1 and halve until every atom holds. *)
+    let values = Hashtbl.create (List.length deltas) in
+    let assign v = match Hashtbl.find_opt values v with Some q -> q | None -> Q.zero in
     let rec concretize d tries =
       if tries = 0 then Unknown
       else begin
-        let assign v =
-          match List.assoc_opt v deltas with
-          | Some { Delta.r; d = k } -> Q.add r (Q.mul k d)
-          | None -> Q.zero
-        in
+        List.iter
+          (fun (v, { Delta.r; d = k }) -> Hashtbl.replace values v (Q.add r (Q.mul k d)))
+          deltas;
         if List.for_all (Atom.holds assign) atoms then
           Sat (List.map (fun (v, _) -> (v, assign v)) deltas)
         else concretize (Q.div d (Q.of_int 2)) (tries - 1)

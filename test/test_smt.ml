@@ -214,6 +214,25 @@ let brute_force_sat atoms =
   done;
   !found
 
+(* Random conjunctions of 1 to 8 atoms over 5 unbounded variables, with
+   coefficients in [-3,3] and constants in [-10,10]: enough pivots,
+   degenerate rows and strict bounds to exercise the tableau. *)
+let arb_conj =
+  let atom =
+    QCheck.Gen.(
+      map
+        (fun (cs, k, rel) ->
+          let expr = L.of_int_terms (List.mapi (fun x c -> (c, x)) cs) k in
+          { A.expr; rel = (match rel with 0 -> A.Le | 1 -> A.Lt | _ -> A.Eq) })
+        (triple (list_repeat 5 (int_range (-3) 3)) (int_range (-10) 10) (int_range 0 2)))
+  in
+  QCheck.make
+    ~print:(fun atoms -> String.concat " & " (List.map (fun a -> A.to_string a) atoms))
+    QCheck.Gen.(list_size (int_range 1 8) atom)
+
+let small_box =
+  List.concat_map (fun x -> [ A.ge (v x) (c (-4)); A.le (v x) (c 4) ]) [ 0; 1; 2; 3; 4 ]
+
 let smt_props =
   [
     prop "lia agrees with brute force on a box" 300 QCheck.(list_of_size (Gen.int_range 1 4) arb_atom)
@@ -235,6 +254,40 @@ let smt_props =
           (* Rational unsat must imply integer unsat. *)
           not (brute_force_sat all)
         | Smt.Simplex.Unknown -> false);
+    prop "simplex matches the IntMap tableau oracle" 1000 arb_conj (fun atoms ->
+        let same_model m m' =
+          List.length m = List.length m'
+          && List.for_all2 (fun (x, d) (x', d') -> x = x' && Smt.Delta.equal d d') m m'
+        in
+        match (Smt.Simplex.solve_delta atoms, Simplex_oracle.solve_delta atoms) with
+        | None, None -> true
+        | Some m, Some m' -> same_model m m'
+        | _ -> false);
+    prop "session verdicts match the oracle across push and pop" 500
+      QCheck.(pair arb_conj arb_conj) (fun (base, extra) ->
+        (* [base] permanently, [extra] in a frame, then [base] again after
+           the pop: the warm tableau must decide both like the oracle. *)
+        let s = Smt.Simplex.Session.create () in
+        let agrees atoms =
+          match (Smt.Simplex.Session.check s, Simplex_oracle.solve_delta atoms) with
+          | `Sat, Some _ ->
+            List.for_all (A.holds_delta (Smt.Simplex.Session.value s)) atoms
+          | `Unsat _, None -> true
+          | _ -> false
+        in
+        List.iter (Smt.Simplex.Session.assert_atom s) base;
+        let before = agrees base in
+        Smt.Simplex.Session.push s;
+        List.iter (Smt.Simplex.Session.assert_atom s) extra;
+        let inside = agrees (base @ extra) in
+        Smt.Simplex.Session.pop s;
+        before && inside && agrees base);
+    prop "certifying solver's refutations replay" 300 arb_conj (fun atoms ->
+        let all = atoms @ small_box in
+        match Smt.Lia.solve_cert all with
+        | Smt.Lia.Cert_unsat cert -> Smt.Certcheck.validate all cert = Ok ()
+        | Smt.Lia.Cert_sat model -> Smt.Lia.check_model all model
+        | Smt.Lia.Cert_unknown | Smt.Lia.Cert_timeout -> false);
   ]
 
 (* ------------------------------------------------------------------ *)
