@@ -48,18 +48,20 @@ let load ~path =
 
 type save_report = { written : int; uncertified : int }
 
-let save ~path ?max_steps cache =
+(* Every certificate in the table was replayed when it entered it (at
+   discharge or at load), so save only drops the entries without one. *)
+let save ~path cache =
   let written = ref 0 and uncertified = ref 0 in
   let entries =
     Qc.fold
       (fun key entry acc ->
-        match Qc.certify ?max_steps entry with
-        | Some entry ->
-          incr written;
-          (key, entry) :: acc
-        | None ->
+        match entry.Qc.verdict with
+        | Qc.Unsat_cert None ->
           incr uncertified;
-          acc)
+          acc
+        | Qc.Unsat_cert (Some _) | Qc.Sat_model _ ->
+          incr written;
+          (key, entry) :: acc)
       cache []
   in
   (* Canonical order (by key) so saving the same cache twice is

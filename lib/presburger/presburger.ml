@@ -193,20 +193,9 @@ let atom_term = function
   | Lt t | Eq t | Divides (_, t) | Not (Divides (_, t)) -> t
   | _ -> invalid_arg "atom_term"
 
-(* Cooper's elimination is superexponential in the worst case: one step
-   replaces the formula by delta * (1 + #lower_bounds) substituted
-   copies, and steps compound across quantifiers.  Bounded callers
-   ([check_sat_bounded], the solver portfolio's race) concede instead of
-   stalling: [Blowup] aborts the elimination when an intermediate
-   formula would exceed the caller's atom budget. *)
-exception Blowup
-
-let size f = fold_atoms (fun n _ -> n + 1) 0 f
-
 (* Cooper's elimination of one existential over a quantifier-free NNF
-   formula.  [budget] bounds the atom count of the expansion built
-   below; the default never trips it. *)
-let eliminate_exists ?(budget = max_int) x f =
+   formula. *)
+let eliminate_exists x f =
   let f = split_eq x (nnf f) in
   let coeffs =
     fold_atoms
@@ -299,16 +288,7 @@ let eliminate_exists ?(budget = max_int) x f =
           | a -> a)
         minus_inf
     in
-    let delta_int =
-      match B.to_int delta with
-      | Some n -> n
-      | None -> if budget < max_int then raise Blowup else B.to_int_exn delta
-    in
-    (* The disjunction below holds delta * (1 + #lower_bounds) copies of
-       [f]; refuse to build it (and check the simplified result, since
-       blowup compounds across eliminated variables) past the budget. *)
-    let copies = delta_int * (1 + List.length lower_bounds) in
-    if copies > 0 && size f > budget / copies then raise Blowup;
+    let delta_int = B.to_int_exn delta in
     let js = List.init delta_int (fun j -> j + 1) in
     let part1 = List.map (fun j -> subst_minus_inf j) js in
     let part2 =
@@ -317,23 +297,17 @@ let eliminate_exists ?(budget = max_int) x f =
           List.map (fun b -> subst_x (Term.add b (Term.const j))) lower_bounds)
         js
     in
-    let r = simplify (Or (part1 @ part2)) in
-    if budget < max_int && size r > budget then raise Blowup;
-    r
+    simplify (Or (part1 @ part2))
   end
 
-let rec eliminate_bounded ~budget = function
+let rec eliminate = function
   | (Lt _ | Eq _ | Divides _) as a -> a
-  | Not f -> simplify (Not (eliminate_bounded ~budget f))
-  | And fs -> simplify (And (List.map (eliminate_bounded ~budget) fs))
-  | Or fs -> simplify (Or (List.map (eliminate_bounded ~budget) fs))
-  | Exists (x, f) ->
-    simplify (eliminate_exists ~budget x (eliminate_bounded ~budget f))
+  | Not f -> simplify (Not (eliminate f))
+  | And fs -> simplify (And (List.map eliminate fs))
+  | Or fs -> simplify (Or (List.map eliminate fs))
+  | Exists (x, f) -> simplify (eliminate_exists x (eliminate f))
   | Forall (x, f) ->
-    simplify
-      (Not (eliminate_exists ~budget x (simplify (Not (eliminate_bounded ~budget f)))))
-
-let eliminate f = eliminate_bounded ~budget:max_int f
+    simplify (Not (eliminate_exists x (simplify (Not (eliminate f)))))
 
 let is_valid f =
   let qf = eliminate f in
@@ -342,23 +316,6 @@ let is_valid f =
   | vs ->
     invalid_arg
       ("Presburger.is_valid: free variables remain: " ^ String.concat ", " vs)
-
-let check_sat f =
-  (* Close every free variable existentially; the closure is sentence,
-     so [is_valid] decides it outright.  This is the query-level entry
-     point the solver portfolio calls on a plain conjunction of atoms:
-     satisfiability over [Z] of the formula as given. *)
-  let closed = List.fold_left (fun acc x -> Exists (x, acc)) f (free_vars f) in
-  is_valid closed
-
-let check_sat_bounded ~budget f =
-  let closed = List.fold_left (fun acc x -> Exists (x, acc)) f (free_vars f) in
-  match eliminate_bounded ~budget closed with
-  | exception Blowup -> None
-  | qf -> (
-    match free_vars qf with
-    | [] -> Some (eval (fun _ -> B.zero) qf)
-    | _ -> None)
 
 let rec to_string = function
   | Lt t -> Term.to_string t ^ " < 0"

@@ -60,22 +60,5 @@ val eval : (string -> Numbers.Bigint.t) -> t -> bool
     elimination. *)
 val is_valid : t -> bool
 
-(** [check_sat f] decides satisfiability of [f] over the integers: every
-    free variable is closed existentially and the resulting sentence is
-    decided by elimination.  This is the query-level entry point used by
-    the solver portfolio ({!Smt.Portfolio}) to refute whole conjunctions
-    by Cooper QE; a [false] answer is an UNSAT verdict whose certificate
-    the portfolio obtains separately from the certifying simplex engine
-    when persisting it. *)
-val check_sat : t -> bool
-
-(** [check_sat_bounded ~budget f] is [Some (check_sat f)] unless some
-    intermediate formula of the elimination would exceed [budget] atoms
-    — Cooper's expansion is superexponential in the worst case — in
-    which case it gives up with [None] instead of stalling.  This is
-    what lets the solver portfolio race Cooper QE safely: a blowup
-    concedes the race to the simplex rather than hanging it. *)
-val check_sat_bounded : budget:int -> t -> bool option
-
 val free_vars : t -> string list
 val to_string : t -> string

@@ -49,8 +49,9 @@ val checkpoint_file : dir:string -> string -> Ta.Spec.t -> string
     run (see {!Holistic.Checker.verify}).
 
     [portfolio] routes every row's leaf discharges through one shared
-    {!Smt.Portfolio} (cross-property cache + racing backends); rows are
-    bit-identical with or without it, only the Steps column shrinks. *)
+    {!Smt.Portfolio} (cross-property cache + certifying discharge); rows
+    are bit-identical with or without it except the Steps column: a hit
+    costs no step, a miss also counts the certifying solver's. *)
 
 (** [bv_rows ()] — the four bv-broadcast rows (fast). *)
 val bv_rows :
