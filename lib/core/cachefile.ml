@@ -1,7 +1,8 @@
 module J = Jsonc
 module Qc = Smt.Qcache
 
-let file_version = 1
+(* Version 2: certified UNSAT entries hold their core, not the query. *)
+let file_version = 2
 
 type load_report = { cache : Qc.t; loaded : int; dropped : int }
 
@@ -56,10 +57,10 @@ let save ~path cache =
     Qc.fold
       (fun key entry acc ->
         match entry.Qc.verdict with
-        | Qc.Unsat_cert None ->
+        | Qc.Unsat_uncertified _ ->
           incr uncertified;
           acc
-        | Qc.Unsat_cert (Some _) | Qc.Sat_model _ ->
+        | Qc.Unsat_core _ | Qc.Sat_model _ ->
           incr written;
           (key, entry) :: acc)
       cache []

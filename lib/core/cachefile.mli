@@ -5,21 +5,30 @@
     intact, never a torn file).
 
     Trust model: a cache file is {e advisory}, never load-bearing.
-    Every entry is re-validated on load ({!Smt.Qcache.validate}: the
-    fingerprint is recomputed, UNSAT certificates are replayed by the
-    standalone checker, SAT models are re-evaluated); entries that fail
-    — tampered, truncated, stale, or produced by a different atom
-    encoding — are silently dropped, degrading to cache misses.  Save
-    writes only entries that carry evidence: every certificate in the
-    table was replayed by the standalone checker when it entered it
-    (at discharge, by {!Smt.Portfolio}'s certifying lane, or here at
-    load), so it is written as is.  UNSAT entries without a certificate
-    — decided by the portfolio's model lane because the certifying lane
+    Every entry is re-validated on load ({!Smt.Qcache.validate}: a
+    certified UNSAT entry's certificate is replayed by the standalone
+    checker against the entry's core, and the core must be sorted and
+    deduplicated; a SAT entry's fingerprint is recomputed and
+    its model re-evaluated); entries that fail — tampered, truncated,
+    stale, or produced by a different atom encoding — are silently
+    dropped, degrading to cache misses.  A file of another format
+    version is refused as a whole (loaded 0, dropped 1), so the run
+    starts cold.  An UNSAT entry stores only the atoms its certificate
+    cites, not the query: the portfolio serves it to a query only when
+    every core atom is among the query's canonical atoms, and a query
+    that contains a refuted core is refuted.  A wrong or colliding key
+    can therefore cost a miss, never a wrong verdict.  Save writes only
+    entries that carry evidence: every certificate in the table was
+    replayed by the standalone checker when it entered it (at
+    discharge, by {!Smt.Portfolio}'s certifying lane, or here at load),
+    so it is written as is.  UNSAT entries without a certificate —
+    decided by the portfolio's model lane because the certifying lane
     ran dry or its certificate failed the replay — are dropped, not
     proved again: the certifying engine is deterministic, and it has
-    already failed on them at the discharge's budget.  No file ever holds an unvalidated
-    certificate, so a wrong verdict cannot enter a run through the
-    file: only correctly-certified work can be reused. *)
+    already failed on them at the discharge's budget.  No file ever
+    holds an unvalidated certificate, so a wrong verdict cannot enter a
+    run through the file: only correctly-certified work can be
+    reused. *)
 
 type load_report = {
   cache : Smt.Qcache.t;

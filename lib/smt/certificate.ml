@@ -32,6 +32,27 @@ let core cert =
   in
   List.sort_uniq compare (go [] cert)
 
+let restrict cert =
+  let core = core cert in
+  let rank = Hashtbl.create 16 in
+  List.iteri (fun r i -> Hashtbl.replace rank i r) core;
+  let renumber i = Hashtbl.find rank i in
+  let rec go = function
+    | Farkas ps ->
+      Farkas
+        (List.map
+           (fun p ->
+             match p.reason with
+             | Input i -> { p with reason = Input (renumber i) }
+             | Cut _ -> p)
+           ps)
+    | Div_conflict { index; atom } -> Div_conflict { index = renumber index; atom }
+    | Branch b -> Branch { b with low = go b.low; high = go b.high }
+    | Split _ -> invalid_arg "Certificate.restrict: Split node"
+    | Static c -> Static (go c)
+  in
+  (core, go cert)
+
 let pp_reason fmt = function
   | Input i -> Format.fprintf fmt "input %d" i
   | Cut d -> Format.fprintf fmt "cut %d" d

@@ -65,6 +65,16 @@ val size : t -> int
     unsat core the certificate witnesses. *)
 val core : t -> int list
 
+(** [restrict cert] is [(core cert, cert')], where [cert'] is [cert]
+    with every [Input]/[Div_conflict] index [i] renumbered to the
+    position of [i] in [core cert].  When [cert] refutes the
+    conjunction [atoms], [cert'] refutes the sub-list of [atoms] at the
+    [core] indices, in order: it cites the same atoms, only their
+    positions change.  For certificates of a plain conjunction:
+    @raise Invalid_argument on a [Split] node, whose cube atoms extend
+    the input list past the core. *)
+val restrict : t -> int list * t
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 JSON codec}

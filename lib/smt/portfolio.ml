@@ -56,11 +56,33 @@ let flush h = Qcache.Local.flush h.local
 
 (* ------------------------------------------------------------------- *)
 
-(* Canonical-vs-canonical comparisons (the cache hit guard) use the
-   cheap comparator; the SAT literal-identity check compares raw query
-   atoms, which are not canonical, so it keeps the general one. *)
+(* The certificate-less UNSAT guard compares canonical lists, so it
+   uses the cheap comparator; the SAT literal-identity check compares
+   raw query atoms, which are not canonical, so it keeps the general
+   one. *)
 let catoms_equal = List.equal Atom.equal_canonical
 let atoms_equal = List.equal Atom.equal
+
+(* [subset core catoms]: both strictly ascending under the canonical
+   order, so one merge pass decides inclusion. *)
+let rec subset core catoms =
+  match (core, catoms) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | c :: core', q :: catoms' ->
+    let d = Atom.compare_canonical c q in
+    if d = 0 then subset core' catoms' else d > 0 && subset core catoms'
+
+(* The atoms of the sorted index list [idx] (ascending, as
+   [Certificate.core] returns it) picked from [atoms] in one pass. *)
+let pick idx atoms =
+  let rec go i idx atoms =
+    match (idx, atoms) with
+    | [], _ | _, [] -> []
+    | j :: idx', a :: atoms' ->
+      if i = j then a :: go (i + 1) idx' atoms' else go (i + 1) idx atoms'
+  in
+  go 0 idx atoms
 
 (* Cross-check a certified refutation on the reference engine
    (uncounted steps: the check is diagnostic work, not verification
@@ -81,10 +103,16 @@ let solve ?steps ?(max_steps = 20_000) ?stop h atoms =
   in
   let cached =
     match Qcache.Local.find h.local key with
-    | Some e when catoms_equal e.Qcache.catoms catoms -> (
+    | None -> None
+    | Some e -> (
       let cross = not (String.equal e.Qcache.origin h.origin) in
       match e.Qcache.verdict with
-      | Qcache.Unsat_cert _ -> Some (hit Lia.Unsat ~cross)
+      | Qcache.Unsat_core { core; _ } ->
+        (* The replayed certificate refutes [core]; a query containing
+           it is refuted too, whatever the key collided with. *)
+        if subset core catoms then Some (hit Lia.Unsat ~cross) else None
+      | Qcache.Unsat_uncertified guard ->
+        if catoms_equal guard catoms then Some (hit Lia.Unsat ~cross) else None
       | Qcache.Sat_model { atoms = la; model } ->
         (* Serve a SAT hit only for the literally identical query (same
            atoms, same order): the stored model is then byte-identical
@@ -94,7 +122,6 @@ let solve ?steps ?(max_steps = 20_000) ?stop h atoms =
         if atoms_equal la atoms && Lia.check_model atoms model then
           Some (hit (Lia.Sat model) ~cross)
         else None)
-    | _ -> None
   in
   match cached with
   | Some r -> r
@@ -102,8 +129,7 @@ let solve ?steps ?(max_steps = 20_000) ?stop h atoms =
     h.c <- { h.c with misses = h.c.misses + 1 };
     let remember verdict =
       h.c <- { h.c with w_simplex = h.c.w_simplex + 1 };
-      Qcache.Local.add h.local key
-        { Qcache.catoms; verdict; origin = h.origin }
+      Qcache.Local.add h.local key { Qcache.verdict; origin = h.origin }
     in
     (* The model lane is the call the uncached engine makes on the
        literal atoms, so SAT verdicts (and witnesses) are byte-identical.
@@ -120,20 +146,25 @@ let solve ?steps ?(max_steps = 20_000) ?stop h atoms =
           raise
             (Disagreement
                "certifying simplex satisfied a conjunction the simplex refutes");
-        remember (Qcache.Unsat_cert None);
+        remember (Qcache.Unsat_uncertified catoms);
         r
       | (Lia.Unknown | Lia.Timeout) as r -> r
     in
-    (* Certifying lane first, on the canonical atoms: its certificate's
-       [Input] indices then match the [catoms] that [Qcache.validate]
-       replays.  The certificate is replayed once, here, so every
-       certificate in the table has passed the standalone checker and
-       save writes it as is; one that fails the replay decides nothing. *)
+    (* Certifying lane first, on the canonical atoms.  Its certificate
+       is restricted to the atoms it cites and replayed once, here,
+       against that core, so every certificate in the table has passed
+       the standalone checker and save writes it as is; one that fails
+       the replay decides nothing. *)
     match Lia.solve_cert ?steps ~max_steps ?stop catoms with
-    | Lia.Cert_unsat cert when Result.is_ok (Certcheck.validate catoms cert) ->
-      if h.pf.check then crosscheck ~max_steps ?stop atoms;
-      remember (Qcache.Unsat_cert (Some cert));
-      Lia.Unsat
+    | Lia.Cert_unsat cert -> (
+      let idx, cert = Certificate.restrict cert in
+      let core = pick idx catoms in
+      match Certcheck.validate core cert with
+      | Ok () ->
+        if h.pf.check then crosscheck ~max_steps ?stop atoms;
+        remember (Qcache.Unsat_core { core; cert });
+        Lia.Unsat
+      | Error _ -> model_lane ~certified_sat:false)
     | Lia.Cert_timeout -> Lia.Timeout
     | Lia.Cert_sat _ -> model_lane ~certified_sat:true
-    | Lia.Cert_unsat _ | Lia.Cert_unknown -> model_lane ~certified_sat:false)
+    | Lia.Cert_unknown -> model_lane ~certified_sat:false)

@@ -7,12 +7,13 @@
 
     + {e certifying simplex} — {!Lia.solve_cert} on the canonical atoms
       (the cache key's preimage).  An UNSAT answer's certificate is
-      replayed once by {!Certcheck.validate}; if it passes, the entry is
-      cached with it (its [Input] indices match the atoms
-      {!Qcache.validate} replays) and the miss is answered [Unsat]
-      without touching the reference engine.  A timeout is returned as
-      is.  Every other answer — SAT, a run-dry budget, a certificate the
-      replay rejects — goes to the model lane.
+      restricted to the atoms it cites ({!Certificate.restrict}) and
+      replayed once against that core by {!Certcheck.validate}; if it
+      passes, the core and the certificate are cached and the miss is
+      answered [Unsat] without touching the reference engine.  A
+      timeout is returned as is.  Every other answer — SAT, a run-dry
+      budget, a certificate the replay rejects — goes to the model
+      lane.
     + {e model lane} — {!Lia.solve} on the literal atoms, the call the
       uncached engine makes; the only lane that produces models, so
       every [Sat] verdict (and with it every witness) is byte-identical
@@ -26,13 +27,16 @@
     Soundness: the certifying lane answers only UNSAT, and only with a
     certificate the standalone checker accepted; cache hits are
     revalidated (models re-evaluated, certificates replayed at load
-    time).  Outcomes, witnesses and schema counts therefore equal the
-    uncached engine's on every query the reference engine decides; only
-    solver effort changes.  With [check] enabled, every certified
-    refutation is re-proved on {!Lia.solve} and a mismatch raises
-    {!Disagreement} (the checker's fail-soft quarantine contains it to
-    one position); a certified model where {!Lia.solve} refutes raises
-    it even without [check]. *)
+    time).  A certified UNSAT entry is a hit only when the key matches
+    and its core is a subset of the query's canonical atoms (one sorted
+    merge), so even a key collision answers correctly.  Outcomes,
+    witnesses and schema counts therefore equal the uncached engine's on
+    every query the reference engine decides; only solver effort
+    changes.  With [check] enabled, every certified refutation is
+    re-proved on {!Lia.solve} and a mismatch raises {!Disagreement} (the
+    checker's fail-soft quarantine contains it to one position); a
+    certified model where {!Lia.solve} refutes raises it even without
+    [check]. *)
 
 (** Raised when two backends decide the same query differently — a
     solver bug by construction, never a cache/tampering effect (those

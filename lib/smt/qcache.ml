@@ -3,24 +3,58 @@ module J = Jsonc
 
 (* Canonical fingerprint: canonicalize every atom (integer coefficients,
    GCD divided out, canonical equality sign — Atom.canonical), sort by
-   the canonical total order and deduplicate, then digest the printed
-   forms.  Atom.to_string over canonical atoms is deterministic (default
-   "x<i>" names, coefficients in ascending variable order), so the key
-   is a pure function of the canonical atom multiset. *)
+   the canonical total order and deduplicate, then digest a compact
+   serialization of the list.  Each atom is written as its relation
+   tag, its term count, each term's variable id and coefficient, and
+   its constant; every field has a fixed width or a tag, so the
+   encoding is prefix-free and the key is a pure function of the
+   canonical atom set, stable across processes. *)
+let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+
+let add_bigint buf b =
+  match B.to_int b with
+  | Some n ->
+    Buffer.add_char buf 'i';
+    add_int buf n
+  | None ->
+    let s = B.to_string b in
+    Buffer.add_char buf 'b';
+    add_int buf (String.length s);
+    Buffer.add_string buf s
+
+(* Canonical atoms have integral coefficients and constants. *)
+let add_q buf q = add_bigint buf (Numbers.Rational.to_bigint q)
+
+let add_atom buf (a : Atom.t) =
+  Buffer.add_char buf (match a.rel with Atom.Le -> 'L' | Atom.Lt -> 'T' | Atom.Eq -> 'E');
+  let terms = Linexpr.terms a.expr in
+  add_int buf (List.length terms);
+  List.iter
+    (fun (c, v) ->
+      add_int buf v;
+      add_q buf c)
+    terms;
+  add_q buf (Linexpr.constant a.expr)
+
 let fingerprint atoms =
   let catoms =
     List.sort_uniq Atom.compare_canonical (List.map Atom.canonical atoms)
   in
-  let key =
-    Digest.to_hex (Digest.string (String.concat "\n" (List.map Atom.to_string catoms)))
-  in
-  (key, catoms)
+  let buf = Buffer.create 4096 in
+  List.iter (add_atom buf) catoms;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), catoms)
 
 type verdict =
   | Sat_model of { atoms : Atom.t list; model : (int * B.t) list }
-  | Unsat_cert of Certificate.t option
+  | Unsat_core of { core : Atom.t list; cert : Certificate.t }
+  | Unsat_uncertified of Atom.t list
 
-type entry = { catoms : Atom.t list; verdict : verdict; origin : string }
+type entry = { verdict : verdict; origin : string }
+
+(* Strictly ascending under the canonical order. *)
+let rec sorted_uniq = function
+  | a :: (b :: _ as rest) -> Atom.compare_canonical a b < 0 && sorted_uniq rest
+  | [ _ ] | [] -> true
 
 (* ------------------------------------------------------------------- *)
 (* Sharded shared table.  One mutex per shard keeps cross-domain
@@ -101,31 +135,27 @@ end
 (* ------------------------------------------------------------------- *)
 (* Validation: every persisted entry must be self-evidencing, so a
    tampered or stale cache degrades to misses, never to wrong verdicts.
-   The checks deliberately recompute the fingerprint instead of trusting
-   the recorded key. *)
-
-(* Entries store canonical atom lists, so the cheap comparator applies. *)
-let atoms_equal = List.equal Atom.equal_canonical
+   A SAT entry recomputes its fingerprint instead of trusting the
+   recorded key.  An UNSAT entry's key is only an index: its evidence
+   is the certificate replayed against its core, and the portfolio
+   serves it only to queries whose canonical atoms contain the core. *)
 
 let validate key entry =
-  let k', catoms' = fingerprint entry.catoms in
-  if not (String.equal k' key) then Error "fingerprint mismatch"
-  else if not (atoms_equal catoms' entry.catoms) then
-    Error "atom list is not in canonical sorted form"
-  else
-    match entry.verdict with
-    | Unsat_cert None -> Error "UNSAT entry carries no certificate"
-    | Unsat_cert (Some cert) -> (
-      match Certcheck.validate entry.catoms cert with
+  match entry.verdict with
+  | Unsat_uncertified _ -> Error "UNSAT entry carries no certificate"
+  | Unsat_core { core; cert } ->
+    if not (sorted_uniq core) then Error "core is not sorted and deduplicated"
+    else (
+      match Certcheck.validate core cert with
       | Ok () -> Ok ()
       | Error msg -> Error ("certificate rejected: " ^ msg))
-    | Sat_model { atoms; model } ->
-      let k'', _ = fingerprint atoms in
-      if not (String.equal k'' key) then
-        Error "SAT entry's literal atoms do not match the key"
-      else if not (Lia.check_model atoms model) then
-        Error "model does not satisfy the atoms"
-      else Ok ()
+  | Sat_model { atoms; model } ->
+    let k, _ = fingerprint atoms in
+    if not (String.equal k key) then
+      Error "SAT entry's literal atoms do not match the key"
+    else if not (Lia.check_model atoms model) then
+      Error "model does not satisfy the atoms"
+    else Ok ()
 
 (* ------------------------------------------------------------------- *)
 (* Canonical-JSON codec.  Atoms and certificates reuse the Certificate
@@ -143,48 +173,48 @@ let model_of_json j =
       | _ -> raise (J.Parse_error "malformed model binding"))
     (J.to_list j)
 
+let atoms_to_json atoms = J.List (List.map Certificate.atom_to_json atoms)
+let atoms_of_json j = List.map Certificate.atom_of_json (J.to_list j)
+
 let entry_to_json key entry =
-  let base =
-    [
-      ("key", J.Str key);
-      ("origin", J.Str entry.origin);
-      ("atoms", J.List (List.map Certificate.atom_to_json entry.catoms));
-    ]
-  in
+  let base = [ ("key", J.Str key); ("origin", J.Str entry.origin) ] in
   match entry.verdict with
-  | Unsat_cert cert ->
+  | Unsat_core { core; cert } ->
     J.Obj
       (base
       @ [
           ("verdict", J.Str "unsat");
-          ("cert", match cert with Some c -> Certificate.to_json c | None -> J.Null);
+          ("core", atoms_to_json core);
+          ("cert", Certificate.to_json cert);
         ])
   | Sat_model { atoms; model } ->
     J.Obj
       (base
       @ [
           ("verdict", J.Str "sat");
-          ("qatoms", J.List (List.map Certificate.atom_to_json atoms));
+          ("qatoms", atoms_to_json atoms);
           ("model", model_to_json model);
         ])
+  | Unsat_uncertified _ ->
+    invalid_arg "Qcache.entry_to_json: a certificate-less entry is never persisted"
 
 let entry_of_json j =
   let key = J.to_str (J.member "key" j) in
   let origin = J.to_str (J.member "origin" j) in
-  let catoms = List.map Certificate.atom_of_json (J.to_list (J.member "atoms" j)) in
   let verdict =
     match J.to_str (J.member "verdict" j) with
     | "unsat" ->
-      Unsat_cert
-        (match J.member "cert" j with
-         | J.Null -> None
-         | cert -> Some (Certificate.of_json cert))
+      Unsat_core
+        {
+          core = atoms_of_json (J.member "core" j);
+          cert = Certificate.of_json (J.member "cert" j);
+        }
     | "sat" ->
       Sat_model
         {
-          atoms = List.map Certificate.atom_of_json (J.to_list (J.member "qatoms" j));
+          atoms = atoms_of_json (J.member "qatoms" j);
           model = model_of_json (J.member "model" j);
         }
     | v -> raise (J.Parse_error ("unknown cache verdict " ^ v))
   in
-  (key, { catoms; verdict; origin })
+  (key, { verdict; origin })

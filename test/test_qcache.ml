@@ -12,12 +12,16 @@
      warm run from the loaded cache answers every leaf from it at zero
      solver steps;
    - the poisoned-cache trust model: corrupting a persisted entry's
-     certificate makes the loader drop that entry (silently, counted),
-     and the verdict of a run against the poisoned cache is unchanged;
+     certificate or one of its core atoms makes the loader drop that
+     entry (silently, counted), a file of the previous format version
+     is refused as a whole, and the verdict of a run against such a
+     cache is unchanged;
+   - the core guard: an entry whose key matches a query but whose core
+     is not among the query's atoms is a miss, decided by the solver;
    - certificates born at discharge: every UNSAT entry of a cold run
-     carries a certificate that replays and equals a fresh certifying
-     proof; a refutation the certifying lane cannot certify is decided
-     by the reference engine and never persisted. *)
+     holds the core and certificate of a fresh certifying proof
+     restricted to its core; a refutation the certifying lane cannot
+     certify is decided by the reference engine and never persisted. *)
 
 module A = Ta.Automaton
 module G = Ta.Guard
@@ -100,10 +104,15 @@ let test_warm_witness_determinism () =
    discharges goes through the cache, and reachability pruning costs no
    solver steps, so a fully-warm run needs no solver steps at all.      *)
 
-let set_cert cert = function
+let set_field name value = function
   | J.Obj fields ->
-    J.Obj (List.map (fun (k, v) -> if k = "cert" then (k, cert) else (k, v)) fields)
+    J.Obj (List.map (fun (k, v) -> if k = name then (k, value) else (k, v)) fields)
   | j -> j
+
+let set_cert = set_field "cert"
+
+let cache_doc ~version entries =
+  J.to_string (J.Obj [ ("version", J.Int version); ("entries", J.List entries) ]) ^ "\n"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -164,10 +173,7 @@ let test_persistence_and_poison () =
             else ej)
           entries
       in
-      let doc' =
-        J.Obj [ ("version", J.Int 1); ("entries", J.List poisoned) ]
-      in
-      write_file path (J.to_string doc' ^ "\n");
+      write_file path (cache_doc ~version:2 poisoned);
       let lr' = Holistic.Cachefile.load ~path in
       Alcotest.(check int) "poisoned entries dropped" 2 lr'.Holistic.Cachefile.dropped;
       Alcotest.(check int) "intact entries still load"
@@ -186,26 +192,58 @@ let test_persistence_and_poison () =
 
 (* ------------------------------------------------------------------ *)
 (* Certificates born at discharge.  The portfolio's certifying lane
-   caches each refutation with its own (replayed) certificate, and save
-   writes it as is; it must be exactly what a fresh certifying proof of
-   the entry produces, down to the file's bytes.  An UNSAT entry without
-   a certificate is dropped at save, not proved again.                 *)
+   caches each refutation as the core its certificate cites plus the
+   certificate renumbered onto that core, and save writes it as is; it
+   must be exactly what a fresh certifying proof of the query, restricted
+   to its core, produces, down to the file's bytes.  An UNSAT entry
+   without a certificate is dropped at save, not proved again.         *)
+
+let bv_universe = lazy (Holistic.Universe.build Models.Bv_ta.automaton)
 
 let cold_bv_cache () =
   let cache = Smt.Qcache.create () in
   let portfolio = Smt.Portfolio.create cache in
-  let u = Holistic.Universe.build Models.Bv_ta.automaton in
+  let u = Lazy.force bv_universe in
   List.iter
     (fun spec ->
       ignore (Ck.verify_with_universe ~limits:(limits ~static:false ()) ~portfolio u spec))
     Models.Bv_ta.table2_specs;
   cache
 
+(* Every leaf conjunction the engine can discharge on the bv model, by
+   canonical key: each schema's conjunctive part and each path through
+   its justice case split, as {!Flat.decide} builds them. *)
+let bv_leaf_queries () =
+  let u = Lazy.force bv_universe in
+  let queries = Hashtbl.create 256 in
+  let add atoms =
+    let key, catoms = Smt.Qcache.fingerprint atoms in
+    Hashtbl.replace queries key catoms
+  in
+  List.iter
+    (fun spec ->
+      ignore
+        (Holistic.Schema.enumerate u spec ~on_schema:(fun schema ->
+             let e = Holistic.Encode.encode u spec schema in
+             add e.Holistic.Encode.atoms;
+             let rec paths atoms = function
+               | [] -> add atoms
+               | alternatives :: rest ->
+                 List.iter (fun cube -> paths (cube @ atoms) rest) alternatives
+             in
+             paths e.Holistic.Encode.atoms e.Holistic.Encode.branches;
+             true)))
+    Models.Bv_ta.table2_specs;
+  queries
+
+(* The certified UNSAT entries of [cache]: key, core and certificate. *)
 let unsat_entries cache =
   Smt.Qcache.fold
     (fun key e acc ->
       match e.Smt.Qcache.verdict with
-      | Smt.Qcache.Unsat_cert cert -> (key, e, cert) :: acc
+      | Smt.Qcache.Unsat_core { core; cert } -> (key, core, cert) :: acc
+      | Smt.Qcache.Unsat_uncertified _ ->
+        Alcotest.failf "UNSAT entry %s carries no certificate" key
       | Smt.Qcache.Sat_model _ -> acc)
     cache []
 
@@ -216,7 +254,8 @@ let map_unsat f cache =
     (fun key e () ->
       let e =
         match e.Smt.Qcache.verdict with
-        | Smt.Qcache.Unsat_cert cert -> { e with Smt.Qcache.verdict = f key e cert }
+        | Smt.Qcache.Unsat_core _ | Smt.Qcache.Unsat_uncertified _ ->
+          { e with Smt.Qcache.verdict = f key e.Smt.Qcache.verdict }
         | Smt.Qcache.Sat_model _ -> e
       in
       Smt.Qcache.add copy key e)
@@ -224,33 +263,45 @@ let map_unsat f cache =
   copy
 
 let cert_json c = J.to_string (Smt.Certificate.to_json c)
+let atoms_json atoms =
+  String.concat "\n" (List.map (fun a -> J.to_string (Smt.Certificate.atom_to_json a)) atoms)
 
 let test_born_certified () =
   let cache = cold_bv_cache () in
   let unsat = unsat_entries cache in
   Alcotest.(check bool) "cold run cached UNSAT entries" true (List.length unsat >= 3);
   List.iter
-    (fun (key, e, cert) ->
-      if cert = None then Alcotest.failf "UNSAT entry %s carries no certificate" key;
+    (fun (key, core, cert) ->
+      let e = { Smt.Qcache.verdict = Unsat_core { core; cert }; origin = "" } in
       match Smt.Qcache.validate key e with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "entry %s does not replay: %s" key msg)
     unsat;
-  (* The certificate a discharge keeps must be the one a fresh proof
-     on the certifying engine gives. *)
+  (* The core and certificate a discharge keeps must be the ones a fresh
+     proof of the whole query on the certifying engine gives, once
+     restricted to the atoms it cites. *)
+  let queries = bv_leaf_queries () in
   let fresh =
     map_unsat
-      (fun key e _ ->
-        match Smt.Lia.solve_cert ~max_steps:50_000 e.Smt.Qcache.catoms with
-        | Smt.Lia.Cert_unsat c -> Smt.Qcache.Unsat_cert (Some c)
+      (fun key _ ->
+        let catoms =
+          match Hashtbl.find_opt queries key with
+          | Some catoms -> catoms
+          | None -> Alcotest.failf "entry %s is no leaf query of the bv model" key
+        in
+        match Smt.Lia.solve_cert ~max_steps:50_000 catoms with
+        | Smt.Lia.Cert_unsat c ->
+          let idx, cert = Smt.Certificate.restrict c in
+          Smt.Qcache.Unsat_core { core = List.map (List.nth catoms) idx; cert }
         | _ -> Alcotest.failf "entry %s not re-proved" key)
       cache
   in
   List.iter
-    (fun (key, _, cert) ->
-      match ((Option.get (Smt.Qcache.find fresh key)).Smt.Qcache.verdict, cert) with
-      | Smt.Qcache.Unsat_cert (Some c'), Some c ->
-        Alcotest.(check string) (key ^ " certificate") (cert_json c') (cert_json c)
+    (fun (key, core, cert) ->
+      match (Option.get (Smt.Qcache.find fresh key)).Smt.Qcache.verdict with
+      | Smt.Qcache.Unsat_core { core = core'; cert = cert' } ->
+        Alcotest.(check string) (key ^ " core") (atoms_json core') (atoms_json core);
+        Alcotest.(check string) (key ^ " certificate") (cert_json cert') (cert_json cert)
       | _ -> Alcotest.failf "entry %s lost its certificate" key)
     unsat;
   with_temp_file (fun born_path ->
@@ -286,7 +337,7 @@ let test_uncertified_dropped_at_save () =
   Smt.Portfolio.flush h;
   let key, _ = Smt.Qcache.fingerprint parity_query in
   (match Smt.Qcache.find cache key with
-   | Some { Smt.Qcache.verdict = Smt.Qcache.Unsat_cert None; _ } -> ()
+   | Some { Smt.Qcache.verdict = Smt.Qcache.Unsat_uncertified _; _ } -> ()
    | _ -> Alcotest.fail "refutation not cached without a certificate");
   Alcotest.(check bool) "served as a hit in this process" true
     (Smt.Portfolio.solve ~max_steps:1 h parity_query = Smt.Lia.Unsat
@@ -298,7 +349,7 @@ let test_uncertified_dropped_at_save () =
   let victim, _, _ = List.hd (unsat_entries cold) in
   let stripped =
     map_unsat
-      (fun key _ cert -> Smt.Qcache.Unsat_cert (if key = victim then None else cert))
+      (fun key v -> if key = victim then Smt.Qcache.Unsat_uncertified [] else v)
       cold
   in
   with_temp_file (fun path ->
@@ -312,6 +363,141 @@ let test_uncertified_dropped_at_save () =
         lr.Holistic.Cachefile.dropped;
       Alcotest.(check bool) "certificate-less entry not persisted" true
         (Smt.Qcache.find lr.Holistic.Cachefile.cache victim = None))
+
+(* ------------------------------------------------------------------ *)
+(* The core guard.  A certified entry is served only when its key
+   matches and every core atom is among the query's canonical atoms.
+   Forge an entry under the key of the satisfiable [1 <= x <= 5] whose
+   core is the refuted [x <= 0 /\ x >= 1]: the entry is
+   self-evidencing (its certificate replays), but [x <= 0] is not in
+   the query, so the lookup is a miss and the solver finds the model. *)
+
+let test_forged_core_is_a_miss () =
+  let module L = Smt.Linexpr in
+  let x = L.var 0 and k n = L.of_int n in
+  let query = [ Smt.Atom.le x (k 5); Smt.Atom.ge x (k 1) ] in
+  let key, catoms = Smt.Qcache.fingerprint query in
+  let _, core = Smt.Qcache.fingerprint [ Smt.Atom.le x (k 0); Smt.Atom.ge x (k 1) ] in
+  let cert =
+    match Smt.Lia.solve_cert core with
+    | Smt.Lia.Cert_unsat c -> c
+    | _ -> Alcotest.fail "core not refuted"
+  in
+  let idx, cert = Smt.Certificate.restrict cert in
+  Alcotest.(check (list int)) "the certificate cites the whole core" [ 0; 1 ] idx;
+  let forged = { Smt.Qcache.verdict = Unsat_core { core; cert }; origin = "forged" } in
+  Alcotest.(check bool) "forged entry is self-evidencing" true
+    (Smt.Qcache.validate key forged = Ok ());
+  (* A repeated atom appended to the core leaves the certificate
+     replayable, but the core must stay deduplicated; a reordered core
+     is rejected too. *)
+  List.iter
+    (fun (label, core) ->
+      Alcotest.(check bool) label true
+        (Result.is_error
+           (Smt.Qcache.validate key
+              { forged with Smt.Qcache.verdict = Unsat_core { core; cert } })))
+    [ ("duplicated core atom rejected", core @ [ List.nth core 1 ]);
+      ("unsorted core rejected", List.rev core) ];
+  Alcotest.(check bool) "a core atom is missing from the query" false
+    (List.for_all (fun a -> List.exists (Smt.Atom.equal a) catoms) core);
+  let cache = Smt.Qcache.create () in
+  Smt.Qcache.add cache key forged;
+  let h = Smt.Portfolio.handle ~origin:"guard" (Smt.Portfolio.create cache) in
+  (match Smt.Portfolio.solve h query with
+   | Smt.Lia.Sat m ->
+     Alcotest.(check bool) "solver's model satisfies the query" true
+       (Smt.Lia.check_model query m)
+   | _ -> Alcotest.fail "forged core answered the query");
+  let c = Smt.Portfolio.counters h in
+  Alcotest.(check (pair int int)) "one miss, no hit" (1, 0)
+    (c.Smt.Portfolio.misses, c.Smt.Portfolio.hits)
+
+(* A core atom changed on disk, and a file of the previous format.  One
+   UNSAT entry of the cold run's file gets a core atom's constant moved
+   by one, chosen so that the core stays canonical and sorted: only the
+   certificate replay can tell, and load drops that entry alone.  The
+   same entries under version 1 are refused as a whole.  Either way the
+   verdict is unchanged.                                                *)
+
+let canonical_sorted core =
+  List.for_all (fun a -> Smt.Atom.equal_canonical (Smt.Atom.canonical a) a) core
+  &&
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> Smt.Atom.compare_canonical a b < 0 && sorted rest
+    | _ -> true
+  in
+  sorted core
+
+(* The first entry and core atom whose shifted constant keeps the core
+   canonical and sorted but no longer replays: (key, tampered JSON). *)
+let tamper_core entries =
+  let shift (a : Smt.Atom.t) =
+    { a with Smt.Atom.expr = Smt.Linexpr.add_const Numbers.Rational.one a.Smt.Atom.expr }
+  in
+  List.find_map
+    (fun ej ->
+      match Smt.Qcache.entry_of_json ej with
+      | key, ({ Smt.Qcache.verdict = Unsat_core { core; cert }; _ } as e) ->
+        List.find_map
+          (fun i ->
+            let core = List.mapi (fun j a -> if i = j then shift a else a) core in
+            let e = { e with Smt.Qcache.verdict = Unsat_core { core; cert } } in
+            if canonical_sorted core && Result.is_error (Smt.Qcache.validate key e) then
+              Some (key, Smt.Qcache.entry_to_json key e)
+            else None)
+          (List.init (List.length core) Fun.id)
+      | _ -> None)
+    entries
+
+let test_tampered_core_and_old_version () =
+  let cache = Smt.Qcache.create () in
+  let portfolio = Smt.Portfolio.create cache in
+  let u = Lazy.force bv_universe in
+  let spec = List.nth Models.Bv_ta.table2_specs 1 in
+  let limits = limits ~static:false () in
+  let plain = Ck.verify_with_universe ~limits u spec in
+  ignore (Ck.verify_with_universe ~limits ~portfolio u spec);
+  let rerun (lr : Holistic.Cachefile.load_report) =
+    Ck.verify_with_universe ~limits
+      ~portfolio:(Smt.Portfolio.create lr.Holistic.Cachefile.cache)
+      u spec
+  in
+  with_temp_file (fun path ->
+      let sr = Holistic.Cachefile.save ~path cache in
+      let doc = J.of_string (String.trim (read_file path)) in
+      let entries = J.to_list (J.member "entries" doc) in
+      let victim, forged =
+        match tamper_core entries with
+        | Some v -> v
+        | None -> Alcotest.fail "no core atom whose change the replay catches"
+      in
+      let tampered =
+        List.map
+          (fun ej -> if J.to_str (J.member "key" ej) = victim then forged else ej)
+          entries
+      in
+      write_file path (cache_doc ~version:2 tampered);
+      let lr = Holistic.Cachefile.load ~path in
+      Alcotest.(check int) "tampered entry dropped" 1 lr.Holistic.Cachefile.dropped;
+      Alcotest.(check int) "other entries load"
+        (sr.Holistic.Cachefile.written - 1) lr.Holistic.Cachefile.loaded;
+      Alcotest.(check bool) "tampered entry not in the cache" true
+        (Smt.Qcache.find lr.Holistic.Cachefile.cache victim = None);
+      let after = rerun lr in
+      Alcotest.(check string) "verdict unchanged by the tampered core"
+        (outcome_repr plain.Ck.outcome) (outcome_repr after.Ck.outcome);
+      Alcotest.(check int) "the dropped entry is one miss" 1
+        after.Ck.stats.cache.Smt.Portfolio.misses;
+      write_file path (cache_doc ~version:1 entries);
+      let old = Holistic.Cachefile.load ~path in
+      Alcotest.(check (pair int int)) "version 1 refused as a whole" (0, 1)
+        (old.Holistic.Cachefile.loaded, old.Holistic.Cachefile.dropped);
+      let cold = rerun old in
+      Alcotest.(check string) "verdict of the cold start equals the uncached one"
+        (outcome_repr plain.Ck.outcome) (outcome_repr cold.Ck.outcome);
+      Alcotest.(check int) "nothing served from the refused file" 0
+        cold.Ck.stats.cache.Smt.Portfolio.hits)
 
 (* ------------------------------------------------------------------ *)
 (* Random DAG automata (the generator of test_incremental/test_absint):
@@ -432,6 +618,9 @@ let () =
             test_born_certified;
           Alcotest.test_case "certificate-less entry dropped at save" `Quick
             test_uncertified_dropped_at_save;
+          Alcotest.test_case "forged core is a miss" `Quick test_forged_core_is_a_miss;
+          Alcotest.test_case "tampered core atom and version-1 file" `Quick
+            test_tampered_core_and_old_version;
         ] );
       ( "random-ta",
         [
