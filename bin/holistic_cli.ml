@@ -139,26 +139,6 @@ let info_cmd =
 
 (* --- verify -------------------------------------------------------- *)
 
-(* Shared by verify and table2: the abstract-interpretation static
-   discharge.  Soundness contract: verdicts, witnesses and schema counts
-   are bit-identical either way; --no-static exists to demonstrate (and
-   test) exactly that, and to time the solver without the shortcut. *)
-let static_arg =
-  Arg.(value
-       & vflag true
-           [
-             ( true,
-               info [ "static" ]
-                 ~doc:"Discharge schemas refuted by the invariant engine's certified \
-                       static analysis without invoking the solver (default).  \
-                       Verdicts, witnesses and schema counts are identical to \
-                       $(b,--no-static); only solver effort differs." );
-             ( false,
-               info [ "no-static" ]
-                 ~doc:"Disable the static discharge: every schema goes to the \
-                       solver." );
-           ])
-
 (* Shared by verify and table2: crash-safe checkpointing.  --checkpoint
    names a directory (created if missing) holding one journal file per
    (TA, property) — see Report.checkpoint_file — so a multi-property run
@@ -343,7 +323,7 @@ let verify_cmd =
                    JSON line per certificate to this file, replayable with \
                    $(b,holistic check-cert).  Forces the sequential engine (--jobs 1).")
   in
-  let run model spec_name broken max_schemas budget jobs static worker_stats
+  let run model spec_name broken max_schemas budget jobs worker_stats
       slice force checkpoint resume checkpoint_every emit_certs memo cache
       portfolio_check =
     gate ~force ~broken model;
@@ -358,7 +338,7 @@ let verify_cmd =
       else ta
     in
     let limits =
-      { Holistic.Checker.default_limits with max_schemas; time_budget = budget; jobs; static }
+      { Holistic.Checker.default_limits with max_schemas; time_budget = budget; jobs }
     in
     let cert_oc = Option.map open_out emit_certs in
     let certs = Option.map Holistic.Certs.create cert_oc in
@@ -398,7 +378,7 @@ let verify_cmd =
        ~doc:"Verify properties for all parameters n > 3t, t >= f >= 0 (the paper's \
              parameterized model checking).")
     Term.(const run $ model_arg $ spec_arg $ broken $ max_schemas $ budget $ jobs
-          $ static_arg $ worker_stats $ slice $ force $ checkpoint_arg
+          $ worker_stats $ slice $ force $ checkpoint_arg
           $ resume_arg $ checkpoint_every_arg $ emit_certs $ memo_arg $ cache_arg
           $ portfolio_check_arg)
 
@@ -757,7 +737,7 @@ let table2_cmd =
            ~doc:"Append one Table-2-style row per (model-zoo entry, property) after \
                  the paper rows (paper-time column is \"-\").")
   in
-  let run quick budget format jobs static slice force zoo checkpoint resume
+  let run quick budget format jobs slice force zoo checkpoint resume
       checkpoint_every memo cache portfolio_check =
     List.iter (gate ~force) [ Bv; Naive; Simplified ];
     if zoo then
@@ -765,7 +745,7 @@ let table2_cmd =
     install_interrupt_handlers ();
     ensure_checkpoint_dir checkpoint;
     let portfolio = setup_portfolio ~memo ~cache ~check:portfolio_check in
-    let limits = { Holistic.Checker.default_limits with jobs; static } in
+    let limits = { Holistic.Checker.default_limits with jobs } in
     let rows =
       with_input_errors (fun () ->
           Report.table2 ~limits ~slice ?checkpoint_dir:checkpoint ~resume
@@ -785,10 +765,10 @@ let table2_cmd =
     interrupt_exit ()
   in
   Cmd.v
-    (Cmd.info "table2" ~doc:"Regenerate the paper's Table 2 (also see bench/main.exe).")
-    Term.(const run $ quick $ budget $ format $ jobs $ static_arg
-          $ slice $ force $ zoo $ checkpoint_arg $ resume_arg $ checkpoint_every_arg
-          $ memo_arg $ cache_arg $ portfolio_check_arg)
+    (Cmd.info "table2" ~doc:"Regenerate the paper's Table 2.")
+    Term.(const run $ quick $ budget $ format $ jobs $ slice $ force $ zoo
+          $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ memo_arg $ cache_arg
+          $ portfolio_check_arg)
 
 (* --- serve / submit / daemon ---------------------------------------- *)
 

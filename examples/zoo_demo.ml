@@ -20,8 +20,8 @@ let fail fmt =
     fmt
 
 (* The two Ben-Or rows that need real solver time (~40 s each) are
-   covered by the bench sweep (bench/main.exe, BENCH_9.json) and the
-   test battery; the demo skips them to stay interactive. *)
+   covered by test/test_zoo.ml and `holistic table2 --zoo`; the demo
+   skips them to stay interactive. *)
 let skip_in_demo = [ "BenOr-Agree"; "BenOr-OneProp" ]
 
 let () =
@@ -54,7 +54,7 @@ let () =
         List.filter_map
           (fun ((spec : S.t), expected) ->
             if List.mem spec.S.name skip_in_demo then begin
-              Format.printf "  %-12s %-16s (skipped in the demo; see bench/main.exe)@."
+              Format.printf "  %-12s %-16s (skipped in the demo; see table2 --zoo)@."
                 e.Z.key spec.S.name;
               None
             end

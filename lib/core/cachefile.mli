@@ -48,5 +48,9 @@ type save_report = {
 
 (** [save ~path cache] writes every SAT entry and every certified UNSAT
     entry, in key order (saving the same cache twice is
-    byte-identical). *)
+    byte-identical).  At [jobs > 1] the set of SAT entries depends on
+    scheduling: a worker may discharge a satisfiable position past the
+    first counterexample before the run stops, so the verdicts are the
+    same but the file bytes may differ from run to run.  Files are
+    byte-reproducible only at [jobs = 1]. *)
 val save : path:string -> Smt.Qcache.t -> save_report

@@ -11,7 +11,8 @@
      discharge on must report bit-identical outcomes, schema counts and
      slot totals to the same engine with it off, never more solver
      steps (sequentially), and emit Static certificates that replay
-     through the standalone checker;
+     through the standalone checker; the default engine proves the
+     simplified model's Inv2_0 and Good_0 at zero solver steps;
    - the strengthened slicer: semantic slicing composes with
      checkpoint/resume, and the checkpoint fingerprint refuses a
      sliced/unsliced mismatch in both directions.
@@ -257,6 +258,20 @@ let test_bundled_bv () =
   List.iter
     (fun (spec : S.t) -> check_static_pair ("bv " ^ spec.name) u spec)
     Models.Bv_ta.all_specs
+
+(* The default engine discharges the simplified model's Inv2_0 and Good_0
+   without the solver: both hold, at least one subtree is refuted
+   statically, and no simplex step is spent. *)
+let test_simplified_static_discharge () =
+  let u = Holistic.Universe.build Models.Simplified_ta.automaton in
+  List.iter
+    (fun (spec : S.t) ->
+      let r = Ck.verify_with_universe u spec in
+      let label s = Printf.sprintf "simplified %s: %s" spec.name s in
+      Alcotest.(check string) (label "outcome") "holds" (outcome_repr r.Ck.outcome);
+      Alcotest.(check bool) (label "static prunes fire") true (r.Ck.stats.static_prunes >= 1);
+      Alcotest.(check int) (label "zero solver steps") 0 r.Ck.stats.solver_steps)
+    [ Models.Simplified_ta.inv2_0; Models.Simplified_ta.good_0 ]
 
 let test_gadget_static_discharge () =
   let u = Holistic.Universe.build contradicted_ta in
@@ -529,6 +544,8 @@ let () =
       ( "static discharge",
         [
           Alcotest.test_case "bundled bv, sequential and parallel" `Quick test_bundled_bv;
+          Alcotest.test_case "simplified Inv2_0 and Good_0 at zero steps" `Quick
+            test_simplified_static_discharge;
           Alcotest.test_case "gadget discharged at zero steps" `Quick
             test_gadget_static_discharge;
           Alcotest.test_case "static certificates emit and replay" `Quick

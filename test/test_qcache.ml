@@ -5,6 +5,9 @@
      engine, on every bundled bv property and on random DAG automata,
      must report the same outcome (witness included), schema count and
      slot total with a portfolio as without one;
+   - uncached, cold and warm runs of the simplified model's capped
+     Inv1_0 and SRound-Term rows agree, and the warm runs spend no
+     solver step and miss nothing;
    - warm-rerun determinism: a violated property re-verified against
      the populated cache reproduces the byte-identical witness, from
      cache hits;
@@ -75,6 +78,43 @@ let test_bv_engines () =
             cached.Ck.stats.slots_total)
         [ 1; 2 ])
     Models.Bv_ta.table2_specs
+
+(* ------------------------------------------------------------------ *)
+(* The simplified model's solver-bound rows, Inv1_0 and SRound-Term,
+   capped at 64 schemas, through one shared portfolio at jobs = 1:
+   uncached, then cold for both properties, then warm for both.  The
+   three runs of a property agree on outcome, schema count and slot
+   total, and the warm runs are served wholly from the cache.           *)
+
+let test_simplified_cold_warm () =
+  let portfolio = Smt.Portfolio.create (Smt.Qcache.create ()) in
+  let u = Holistic.Universe.build Models.Simplified_ta.automaton in
+  let limits = limits ~max_schemas:64 () in
+  let cold_runs =
+    List.map
+      (fun spec ->
+        let plain = Ck.verify_with_universe ~limits u spec in
+        (spec, plain, Ck.verify_with_universe ~limits ~portfolio u spec))
+      [ Models.Simplified_ta.inv1_0; Models.Simplified_ta.sround_term ]
+  in
+  List.iter
+    (fun ((spec : S.t), plain, cold) ->
+      let warm = Ck.verify_with_universe ~limits ~portfolio u spec in
+      List.iter
+        (fun (run, (r : Ck.result)) ->
+          let label s = Printf.sprintf "%s %s: %s" spec.name run s in
+          Alcotest.(check string) (label "outcome")
+            (outcome_repr plain.Ck.outcome) (outcome_repr r.Ck.outcome);
+          Alcotest.(check int) (label "schemas") plain.Ck.stats.schemas_checked
+            r.Ck.stats.schemas_checked;
+          Alcotest.(check int) (label "slots") plain.Ck.stats.slots_total
+            r.Ck.stats.slots_total)
+        [ ("cold", cold); ("warm", warm) ];
+      let label s = Printf.sprintf "%s warm: %s" spec.name s in
+      Alcotest.(check bool) (label "hits") true (warm.Ck.stats.cache.Smt.Portfolio.hits > 0);
+      Alcotest.(check int) (label "misses") 0 warm.Ck.stats.cache.Smt.Portfolio.misses;
+      Alcotest.(check int) (label "solver steps") 0 warm.Ck.stats.solver_steps)
+    cold_runs
 
 (* ------------------------------------------------------------------ *)
 (* Warm-rerun witness determinism on the broken-resilience
@@ -607,6 +647,8 @@ let () =
         [
           Alcotest.test_case "bv: both engines, cached vs uncached" `Quick
             test_bv_engines;
+          Alcotest.test_case "simplified Inv1_0/SRound-Term: uncached, cold, warm" `Quick
+            test_simplified_cold_warm;
           Alcotest.test_case "warm witness determinism" `Quick
             test_warm_witness_determinism;
         ] );

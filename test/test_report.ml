@@ -1,6 +1,6 @@
 (* Tests for the Table 2 report generation: row construction from checker
    results and the text/markdown/CSV renderers.  (The full table runs in
-   bench/main.exe; here we use the fast bv-broadcast rows once and
+   `holistic table2`; here we use the fast bv-broadcast rows once and
    synthetic results.) *)
 
 let fake_result outcome : Holistic.Checker.result =

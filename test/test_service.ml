@@ -158,8 +158,9 @@ let check_rows_match what daemon_rows reference_rows =
 (* ------------------------------------------------------------------- *)
 (* Tests. *)
 
-let test_faultless_end_to_end () =
-  with_daemon ~ckpt_every:16 (fun d ->
+(* Sharding must not change a row at any worker count. *)
+let test_faultless_end_to_end workers () =
+  with_daemon ~workers ~ckpt_every:16 (fun d ->
       check_rows_match "bv rows"
         (submit_wait d ~model:"bv" ())
         (local_rows ~model:"bv" ());
@@ -358,7 +359,11 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "faultless end-to-end rows match" `Quick
-            test_faultless_end_to_end;
+            (test_faultless_end_to_end 2);
+          Alcotest.test_case "faultless end-to-end rows match, 1 worker" `Quick
+            (test_faultless_end_to_end 1);
+          Alcotest.test_case "faultless end-to-end rows match, 4 workers" `Quick
+            (test_faultless_end_to_end 4);
           Alcotest.test_case "budget abort matches" `Quick test_budget_abort_matches;
           Alcotest.test_case "external SIGKILL mid-slice" `Quick
             test_external_sigkill_mid_slice;
