@@ -36,6 +36,27 @@ let micro () =
     !result
   in
   let encoded = Holistic.Encode.encode bv_u spec deep_schema in
+  (* A leaf query of the capped simplified SRound-Term row that equality
+     elimination refutes on its own: [Lia.solve] answers Unsat without a
+     single simplex call, and no atom is false before elimination. *)
+  let elimination_refuted =
+    let u = Holistic.Universe.build Models.Simplified_ta.automaton in
+    let spec = Models.Simplified_ta.sround_term in
+    let found = ref None in
+    ignore
+      (Holistic.Schema.enumerate u spec ~on_schema:(fun s ->
+           let atoms = (Holistic.Encode.encode u spec s).Holistic.Encode.atoms in
+           let steps = ref 0 in
+           if
+             List.for_all (fun a -> Smt.Atom.trivial a <> Some false) atoms
+             && Smt.Lia.solve ~steps atoms = Smt.Lia.Unsat
+             && !steps = 0
+           then found := Some atoms;
+           !found = None));
+    match !found with
+    | Some atoms -> atoms
+    | None -> failwith "no SRound-Term query is refuted by equality elimination"
+  in
   let tests =
     [
       Test.make ~name:"universe-build(bv)"
@@ -46,6 +67,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Holistic.Encode.encode bv_u spec deep_schema)));
       Test.make ~name:"lia-solve-deep-schema(bv)"
         (Staged.stage (fun () -> ignore (Smt.Lia.solve encoded.Holistic.Encode.atoms)));
+      Test.make ~name:"lia-solve-eliminated(SRound-Term)"
+        (Staged.stage (fun () -> ignore (Smt.Lia.solve elimination_refuted)));
       Test.make ~name:"verify(BV-Just0)"
         (Staged.stage (fun () ->
              ignore (Holistic.Checker.verify_with_universe bv_u spec)));

@@ -59,7 +59,8 @@ let solvable_equality (a : Atom.t) =
 
 (* Preprocess a conjunction: tighten, then repeatedly eliminate solvable
    equalities by substitution.  Returns the reduced atoms and the list of
-   bindings (in elimination order) for model reconstruction.
+   bindings (in elimination order) for model reconstruction.  Only the
+   overflow fallback of {!front_end} runs it.
    @raise Infeasible on a trivially false atom. *)
 let preprocess atoms =
   let simplify atoms =
@@ -84,6 +85,246 @@ let preprocess atoms =
   in
   eliminate atoms []
 
+(* ------------------------------------------------------------------ *)
+(* Native-int front end of {!solve}: {!normalize}, {!tighten} and
+   {!preprocess} computed over native integers.  Each non-constant atom
+   is read once into a row of sorted parallel arrays (variables,
+   coefficients) plus a constant, already normalized (integral, [Lt]
+   turned into [Le]) and tightened.  Elimination keeps {!preprocess}'s
+   order — the first live equality with a +-1 coefficient, in list
+   order, on its lowest such variable — and substitutes only into the
+   rows that contain the eliminated variable: an occurrence list per
+   variable names the candidates, and a binary search in each confirms
+   it.  The reduced atoms, the bindings and every refutation are
+   therefore exactly {!preprocess}'s, so the simplex sees the same list.
+   Every value is kept strictly inside +-2^61 (so a sum of two never
+   wraps); anything larger raises [Overflow] and the query falls back
+   to {!preprocess}. *)
+
+exception Overflow
+
+let bound = 1 lsl 61
+
+let checked v = if v >= bound || v <= -bound then raise Overflow else v
+let add_ck a b = checked (a + b)
+
+let mul_ck a b =
+  if a = 0 || b = 0 then 0
+  else if abs a > (bound - 1) / abs b then raise Overflow
+  else a * b
+
+let int_of_big b = match B.to_int b with Some v -> checked v | None -> raise Overflow
+let den_int q = if Q.is_integer q then 1 else int_of_big (Q.den q)
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+type row = {
+  src : Atom.t;  (** the input atom, returned as is while [changed] is false *)
+  eq : bool;  (** [Eq]; otherwise [Le] *)
+  mutable vs : int array;  (** variables, strictly increasing *)
+  mutable cs : int array;  (** their coefficients, never zero *)
+  mutable k : int;  (** the constant *)
+  mutable changed : bool;  (** differs from [src] *)
+  mutable live : bool;  (** not yet eliminated or dropped as trivially true *)
+}
+
+(* [tighten] on a row, in place. *)
+let tighten_row r =
+  let g = Array.fold_left (fun g c -> if g = 1 then 1 else gcd_int g (abs c)) 0 r.cs in
+  if g > 1 then begin
+    if r.eq then begin
+      if r.k mod g <> 0 then raise Infeasible;
+      r.k <- r.k / g
+    end
+    else r.k <- (if r.k mod g > 0 then (r.k / g) + 1 else r.k / g);
+    r.cs <- Array.map (fun c -> c / g) r.cs;
+    r.changed <- true
+  end
+
+(* [normalize] then [tighten], on a non-constant atom. *)
+let row_of_atom (a : Atom.t) =
+  let terms = Linexpr.terms a.expr and k = Linexpr.constant a.expr in
+  let l =
+    List.fold_left
+      (fun l (c, _) ->
+        let d = den_int c in
+        if d = 1 then l else mul_ck (l / gcd_int l d) d)
+      (den_int k) terms
+  in
+  let scaled q =
+    if l = 1 then int_of_big (Q.num q) else mul_ck (int_of_big (Q.num q)) (l / den_int q)
+  in
+  let n = List.length terms in
+  let vs = Array.make n 0 and cs = Array.make n 0 in
+  List.iteri
+    (fun i (c, x) ->
+      vs.(i) <- x;
+      cs.(i) <- scaled c)
+    terms;
+  let k = if a.rel = Atom.Lt then add_ck (scaled k) 1 else scaled k in
+  let r =
+    { src = a; eq = a.rel = Atom.Eq; vs; cs; k; changed = l <> 1 || a.rel = Atom.Lt;
+      live = true }
+  in
+  tighten_row r;
+  r
+
+let index_of x vs =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let v = vs.(mid) in
+      if v = x then mid else if v < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length vs)
+
+(* Replace the variable at position [p] of [r] by [e = evs . ecs + ek]
+   (which does not mention it): a sorted merge of the rest of [r] with
+   [c * e], dropping cancelled terms. *)
+let subst_row r p (evs, ecs, ek) =
+  let c = r.cs.(p) in
+  let n = Array.length r.vs and m = Array.length evs in
+  let vs = Array.make (n - 1 + m) 0 and cs = Array.make (n - 1 + m) 0 in
+  let o = ref 0 in
+  let emit v a =
+    if a <> 0 then begin
+      vs.(!o) <- v;
+      cs.(!o) <- a;
+      incr o
+    end
+  in
+  let rec merge i j =
+    if i = p then merge (i + 1) j
+    else if i < n && (j = m || r.vs.(i) < evs.(j)) then begin
+      emit r.vs.(i) r.cs.(i);
+      merge (i + 1) j
+    end
+    else if j < m && (i = n || evs.(j) < r.vs.(i)) then begin
+      emit evs.(j) (mul_ck c ecs.(j));
+      merge i (j + 1)
+    end
+    else if i < n then begin
+      emit r.vs.(i) (add_ck r.cs.(i) (mul_ck c ecs.(j)));
+      merge (i + 1) (j + 1)
+    end
+  in
+  merge 0 0;
+  r.vs <- Array.sub vs 0 !o;
+  r.cs <- Array.sub cs 0 !o;
+  r.k <- add_ck r.k (mul_ck c ek);
+  r.changed <- true
+
+(* The first live row of [eqs] (the equalities, in list order) with a
+   +-1 coefficient, and the position of its lowest such variable. *)
+let next_unit eqs =
+  let rec find_row i =
+    if i = Array.length eqs then None
+    else
+      let r = eqs.(i) in
+      let rec find_pos p =
+        if p = Array.length r.cs then find_row (i + 1)
+        else if abs r.cs.(p) = 1 then Some (r, p)
+        else find_pos (p + 1)
+      in
+      if r.live then find_pos 0 else find_row (i + 1)
+  in
+  find_row 0
+
+let linexpr_of vs cs k =
+  Linexpr.of_int_terms (Array.to_list (Array.map2 (fun c v -> (c, v)) cs vs)) k
+
+let atom_of_row r =
+  if not r.changed then r.src
+  else { Atom.expr = linexpr_of r.vs r.cs r.k; rel = (if r.eq then Atom.Eq else Atom.Le) }
+
+(* Occurrence lists, indexed by variable: a superset of the live rows
+   containing it (a row is added again when a substitution brings the
+   variable in, and never removed).  A substitution only brings in
+   variables of other rows, so the initial range of variables bounds
+   the index.  Variables outside [0, 4 * total occurrences + 64) would
+   make the array too sparse; then every list is the whole of [rows]. *)
+let occurrences rows =
+  let lo = ref max_int and hi = ref (-1) and total = ref 0 in
+  Array.iter
+    (fun r ->
+      let n = Array.length r.vs in
+      total := !total + n;
+      lo := min !lo r.vs.(0);
+      hi := max !hi r.vs.(n - 1))
+    rows;
+  if !lo < 0 || !hi >= (4 * !total) + 64 then begin
+    let all = Array.to_list rows in
+    ((fun _ -> all), fun _ _ -> ())
+  end
+  else begin
+    let occ = Array.make (!hi + 1) [] in
+    for i = Array.length rows - 1 downto 0 do
+      let r = rows.(i) in
+      Array.iter (fun v -> occ.(v) <- r :: occ.(v)) r.vs
+    done;
+    ((fun x -> occ.(x)), fun r vs -> Array.iter (fun v -> occ.(v) <- r :: occ.(v)) vs)
+  end
+
+(* The reduced atoms and the bindings, newest first, that {!preprocess}
+   returns for [List.map normalize atoms].
+   @raise Infeasible where {!preprocess} does.
+   @raise Overflow when a value leaves +-2^61. *)
+let native_front_end atoms =
+  if List.exists (fun a -> Atom.trivial a = Some false) atoms then raise Infeasible;
+  let rows =
+    List.filter_map
+      (fun (a : Atom.t) -> if Linexpr.is_const a.expr then None else Some (row_of_atom a))
+      atoms
+    |> Array.of_list
+  in
+  let eqs = Array.of_list (List.filter (fun r -> r.eq) (Array.to_list rows)) in
+  let containing, add_occurrences = occurrences rows in
+  let rec eliminate bindings =
+    match next_unit eqs with
+    | None -> bindings
+    | Some (r, p) ->
+      (* [c x + rest = 0] with [c = +-1]: [x = -c rest]. *)
+      let x = r.vs.(p) and c = r.cs.(p) in
+      let skip i = if i < p then i else i + 1 in
+      let ((evs, _, _) as e) =
+        ( Array.init (Array.length r.vs - 1) (fun i -> r.vs.(skip i)),
+          Array.init (Array.length r.cs - 1) (fun i -> -c * r.cs.(skip i)),
+          -c * r.k )
+      in
+      r.live <- false;
+      List.iter
+        (fun r' ->
+          if r'.live then begin
+            let q = index_of x r'.vs in
+            if q >= 0 then begin
+              subst_row r' q e;
+              tighten_row r';
+              if Array.length r'.vs = 0 then begin
+                if (r'.eq && r'.k <> 0) || r'.k > 0 then raise Infeasible;
+                r'.live <- false
+              end
+              else add_occurrences r' evs
+            end
+          end)
+        (containing x);
+      eliminate ((x, e) :: bindings)
+  in
+  let bindings = eliminate [] in
+  let reduced =
+    Array.fold_right (fun r acc -> if r.live then atom_of_row r :: acc else acc) rows []
+  in
+  (reduced, fun () -> List.map (fun (x, (evs, ecs, ek)) -> (x, linexpr_of evs ecs ek)) bindings)
+
+(* The reduced atoms, and a thunk for the bindings newest first (only a
+   satisfiable query needs them). *)
+let front_end atoms =
+  match native_front_end atoms with
+  | r -> r
+  | exception Overflow ->
+    let reduced, bindings = preprocess (List.map normalize atoms) in
+    (reduced, fun () -> List.rev bindings)
+
 let fractional q = not (Q.is_integer q)
 
 let solve ?steps ?(max_steps = 20_000) ?stop atoms =
@@ -94,9 +335,7 @@ let solve ?steps ?(max_steps = 20_000) ?stop atoms =
   in
   let stopped () = match stop with Some f -> f () | None -> false in
   match
-    let atoms = List.map normalize atoms in
-    let all_vars = List.concat_map Atom.vars atoms |> List.sort_uniq compare in
-    let reduced, bindings = preprocess atoms in
+    let reduced, bindings = front_end atoms in
     let rec branch atoms depth =
       (* Checking at every branch node (not only inside the simplex
          pivot loop) keeps the overshoot bound meaningful for tiny
@@ -134,9 +373,8 @@ let solve ?steps ?(max_steps = 20_000) ?stop atoms =
       let value = Hashtbl.create 16 in
       List.iter (fun (v, q) -> Hashtbl.replace value v q) model;
       let lookup v = match Hashtbl.find_opt value v with Some q -> q | None -> Q.zero in
-      List.iter
-        (fun (x, e) -> Hashtbl.replace value x (Linexpr.eval lookup e))
-        (List.rev bindings);
+      List.iter (fun (x, e) -> Hashtbl.replace value x (Linexpr.eval lookup e)) (bindings ());
+      let all_vars = List.concat_map Atom.vars atoms |> List.sort_uniq Int.compare in
       Sat (List.map (fun v -> (v, Q.to_bigint (lookup v))) all_vars)
   with
   | result -> finish result
@@ -175,7 +413,7 @@ let core_cap = 64
 let union_core a b =
   match (a, b) with
   | Some xs, Some ys ->
-    let u = List.sort_uniq compare (List.rev_append xs ys) in
+    let u = List.sort_uniq Int.compare (List.rev_append xs ys) in
     if List.length u > core_cap then None else Some u
   | _ -> None
 
@@ -555,7 +793,7 @@ let check ?steps ?hits ?(max_steps = 20_000) ?stop s =
       s.model_valid_upto <- s.len;
       finish (Sat m)
     | None -> (
-      let vars = List.concat_map Atom.vars s.log |> List.sort_uniq compare in
+      let vars = List.concat_map Atom.vars s.log |> List.sort_uniq Int.compare in
       (* Union of input tags across every refuted leaf of the B&B tree:
          cuts are existentially discharged by the case split, so dropping
          them leaves a core over asserted atoms. *)
@@ -681,7 +919,7 @@ let solve_cert ?steps ?(max_steps = 20_000) ?stop atoms =
   in
   let stopped () = match stop with Some f -> f () | None -> false in
   let inputs = Array.of_list atoms in
-  let all_vars = List.concat_map Atom.vars atoms |> List.sort_uniq compare in
+  let all_vars = List.concat_map Atom.vars atoms |> List.sort_uniq Int.compare in
   let sx = Simplex.Session.create () in
   let asserted = Hashtbl.create 16 in
   (* [cuts] is the branch path, newest first; a conflict explanation maps

@@ -70,11 +70,8 @@ let eval_delta assign e =
     (Delta.of_rational e.const)
 
 let scale_to_integers e =
-  let denominators =
-    IntMap.fold (fun _ c acc -> Q.den c :: acc) e.coeffs [ Q.den e.const ]
-  in
-  let l = List.fold_left B.lcm B.one denominators in
-  scale (Q.of_bigint l) e
+  let l = IntMap.fold (fun _ c acc -> B.lcm acc (Q.den c)) e.coeffs (Q.den e.const) in
+  if B.is_one l then e else scale (Q.of_bigint l) e
 
 let compare a b =
   if a == b then 0

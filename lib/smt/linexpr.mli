@@ -52,7 +52,7 @@ val eval_delta : (int -> Delta.t) -> t -> Delta.t
 
 (** [scale_to_integers e] multiplies [e] by the least positive rational
     making every coefficient and the constant integral, and returns the
-    resulting expression. *)
+    resulting expression ([e] itself when it is already integral). *)
 val scale_to_integers : t -> t
 
 (** [equal] and [compare] take a physical-equality fast path before the

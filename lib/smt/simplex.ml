@@ -274,7 +274,7 @@ let solve_internal ?stop atoms =
       atoms
   in
   let original_vars =
-    List.concat_map Atom.vars atoms |> List.sort_uniq compare
+    List.concat_map Atom.vars atoms |> List.sort_uniq Int.compare
   in
   let dense = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace dense v i) original_vars;
@@ -657,7 +657,7 @@ module Session = struct
     | Some v -> s.beta.(v)
     | None -> Delta.zero
 
-  let vars s = List.sort compare s.ext
+  let vars s = List.sort Int.compare s.ext
 
   let push_level = push
 

@@ -291,6 +291,189 @@ let smt_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* [Smt.Lia.solve] against its frozen rational front end
+   ({!Lia_oracle}): the same result, the same model and the same step
+   count, on random conjunctions, on queries that leave the native
+   integer range, and on the queries the checker actually builds.       *)
+
+let same_result (r : Smt.Lia.result) (r' : Smt.Lia.result) =
+  match (r, r') with
+  | Smt.Lia.Sat m, Smt.Lia.Sat m' ->
+    List.equal (fun (x, b) (x', b') -> x = x' && B.equal b b') m m'
+  | Smt.Lia.Unsat, Smt.Lia.Unsat | Smt.Lia.Unknown, Smt.Lia.Unknown -> true
+  | _ -> false
+
+let result_to_string = function
+  | Smt.Lia.Sat m ->
+    "sat "
+    ^ String.concat ", " (List.map (fun (x, b) -> Printf.sprintf "x%d=%s" x (B.to_string b)) m)
+  | Smt.Lia.Unsat -> "unsat"
+  | Smt.Lia.Unknown -> "unknown"
+  | Smt.Lia.Timeout -> "timeout"
+
+(* Solve [atoms] with the library and with the oracle; fail with both
+   answers on any difference.  Returns the library's result. *)
+let agree_with_oracle ?max_steps atoms =
+  let steps = ref 0 and steps' = ref 0 in
+  let r = Smt.Lia.solve ~steps ?max_steps atoms in
+  let r' = Lia_oracle.solve ~steps:steps' ?max_steps atoms in
+  if not (same_result r r' && !steps = !steps') then
+    Alcotest.failf "%s\nlibrary: %s (%d steps)\noracle:  %s (%d steps)"
+      (String.concat " & " (List.map (fun a -> A.to_string a) atoms))
+      (result_to_string r) !steps (result_to_string r') !steps';
+  r
+
+(* Conjunctions over six variables, biased toward chains of equalities
+   with a +-1 coefficient (the shape equality elimination cascades on),
+   with strict atoms, rational coefficients, equalities that only GCD
+   tightening can refute, and the odd constant atom, true or false.
+   Half of them are boxed in so that many are satisfiable and the
+   reconstructed models get compared. *)
+let arb_front_end =
+  let open QCheck.Gen in
+  let var = int_range 0 5 in
+  let others = list_size (int_range 0 3) (pair (int_range (-3) 3) var) in
+  let rel = oneofl [ A.Le; A.Lt; A.Eq ] in
+  let unit_eq =
+    map
+      (fun (x, s, rest, k) -> { A.expr = L.of_int_terms ((s, x) :: rest) k; rel = A.Eq })
+      (quad var (oneofl [ 1; -1 ]) others (int_range (-5) 5))
+  in
+  let ineq =
+    map
+      (fun (rest, k, strict) ->
+        { A.expr = L.of_int_terms rest k; rel = (if strict then A.Lt else A.Le) })
+      (triple (list_size (int_range 1 3) (pair (int_range (-3) 3) var)) (int_range (-8) 8) bool)
+  in
+  let rational =
+    map
+      (fun (rest, (n, d), rel) ->
+        { A.expr =
+            L.of_terms (List.map (fun ((n, d), x) -> (Q.of_ints n d, x)) rest) (Q.of_ints n d);
+          rel })
+      (triple
+         (list_size (int_range 1 3) (pair (pair (int_range (-4) 4) (int_range 1 4)) var))
+         (pair (int_range (-9) 9) (int_range 1 4))
+         rel)
+  in
+  let wide_eq =
+    map
+      (fun (rest, k) -> { A.expr = L.of_int_terms rest k; rel = A.Eq })
+      (pair (list_size (int_range 1 3) (pair (oneofl [ -4; -3; -2; 2; 3; 4 ]) var)) (int_range (-6) 6))
+  in
+  let constant = map (fun (k, rel) -> { A.expr = c k; rel }) (pair (int_range (-2) 2) rel) in
+  let atom =
+    frequency [ (6, unit_eq); (4, ineq); (2, rational); (2, wide_eq); (1, constant) ]
+  in
+  let box = List.concat_map (fun x -> [ A.ge (v x) (c (-5)); A.le (v x) (c 5) ]) [ 0; 1; 2; 3; 4; 5 ] in
+  (* Spread-out variable ids make the occurrence lists too sparse to
+     index by variable. *)
+  let spread = List.map (fun (a : A.t) -> { a with A.expr = L.map_vars (fun x -> 1_000_003 * x) a.expr }) in
+  QCheck.make
+    ~print:(fun atoms -> String.concat " & " (List.map (fun a -> A.to_string a) atoms))
+    (map3
+       (fun atoms boxed sparse ->
+         let atoms = if boxed then atoms @ box else atoms in
+         if sparse then spread atoms else atoms)
+       (list_size (int_range 1 10) atom) bool (frequencyl [ (4, false); (1, true) ]))
+
+let front_end_props =
+  [
+    prop "lia matches the rational front-end oracle" 2000 arb_front_end (fun atoms ->
+        ignore (agree_with_oracle ~max_steps:200 atoms);
+        true);
+  ]
+
+(* Coefficients at or near 2^61 leave the native range — on input, in
+   the scaling to integers, and midway through a substitution — so each
+   query is decided through the rational fallback, and must still agree
+   with the oracle. *)
+let test_lia_front_end_overflow () =
+  let big k = Q.of_bigint (B.add (B.of_int (1 lsl 61)) (B.of_int k)) in
+  let q n d = Q.make (B.of_int n) (B.of_int d) in
+  let expr terms k = L.of_terms terms k in
+  let queries =
+    [ (* An input coefficient above 2^61. *)
+      [ { A.expr = expr [ (big 3, 0); (Q.one, 1) ] Q.minus_one; rel = A.Eq };
+        A.ge (v 0) (c 0);
+        A.le (v 0) (c 1) ];
+      (* In range on input; x0 = 2^60 x1 substituted into the second
+         atom makes its x1 coefficient 2^61. *)
+      [ { A.expr = expr [ (Q.one, 0); (Q.neg (big (-(1 lsl 60))), 1) ] Q.zero; rel = A.Eq };
+        { A.expr = expr [ (Q.one, 0); (Q.one, 2); (big (-(1 lsl 60)), 1) ] Q.zero; rel = A.Le };
+        A.ge (v 1) (c 1);
+        A.le (v 1) (c 2) ];
+      (* Denominators whose lcm exceeds 2^61. *)
+      [ { A.expr = expr [ (q 1 (1 lsl 40), 0); (q 1 ((1 lsl 40) + 1), 1) ] Q.minus_one;
+          rel = A.Le };
+        { A.expr = expr [ (Q.one, 0); (Q.minus_one, 1) ] Q.zero; rel = A.Eq };
+        A.ge (v 1) (c 3) ];
+      (* A chain whose second substitution overflows: x0 = x1, then
+         x1 = (2^61 - 1) x2 turns x1 + x2 into 2^61 x2. *)
+      [ { A.expr = expr [ (Q.one, 0); (Q.minus_one, 1) ] Q.zero; rel = A.Eq };
+        { A.expr = expr [ (Q.one, 1); (Q.neg (big (-1)), 2) ] Q.zero; rel = A.Eq };
+        { A.expr = expr [ (Q.one, 0); (Q.one, 2); (Q.one, 3) ] Q.zero; rel = A.Le };
+        A.ge (v 2) (c 1) ];
+      (* An overflowing query the fallback refutes. *)
+      [ { A.expr = expr [ (big 3, 0); (Q.one, 1) ] Q.minus_one; rel = A.Eq };
+        A.ge (v 0) (c 2);
+        A.le (v 0) (c 1) ] ]
+  in
+  List.iter (fun atoms -> ignore (agree_with_oracle atoms)) queries
+
+(* Every leaf query {!Flat.decide} would solve on the first [limit]
+   preorder schemas of [spec] (all of them up to the first violation
+   when [until_sat]): the conjunctive part, and when it is satisfiable
+   the justice case split, as on the checker's own schema walk.
+   Returns the number of queries and whether a violation was found. *)
+let compare_schema_queries ?(until_sat = false) ~limit automaton spec =
+  let u = Holistic.Universe.build automaton in
+  let max_steps = Holistic.Checker.default_limits.lia_max_steps in
+  let queries = ref 0 and schemas = ref 0 and violated = ref false in
+  let leaf atoms =
+    incr queries;
+    match agree_with_oracle ~max_steps atoms with
+    | Smt.Lia.Sat _ -> `Sat
+    | Smt.Lia.Unsat -> `Unsat
+    | Smt.Lia.Unknown | Smt.Lia.Timeout -> `Unknown
+  in
+  let rec go atoms = function
+    | [] -> leaf atoms
+    | alternatives :: rest ->
+      let rec try_alts = function
+        | [] -> `Unsat
+        | cube :: others -> (
+          match go (cube @ atoms) rest with `Unsat -> try_alts others | r -> r)
+      in
+      try_alts alternatives
+  in
+  ignore
+    (Holistic.Schema.enumerate u spec ~on_schema:(fun schema ->
+         incr schemas;
+         let e = Holistic.Encode.encode u spec schema in
+         let verdict =
+           match leaf e.atoms with
+           | `Sat when e.branches <> [] -> go e.atoms e.branches
+           | r -> r
+         in
+         if verdict = `Sat then violated := true;
+         !schemas < limit && not (until_sat && !violated)));
+  (!queries, !violated)
+
+let test_lia_front_end_schema_queries () =
+  let simplified = Models.Simplified_ta.automaton in
+  List.iter
+    (fun spec ->
+      let n, _ = compare_schema_queries ~limit:300 simplified spec in
+      Alcotest.(check bool) "queries compared" true (n >= 300))
+    [ Models.Simplified_ta.sround_term; Models.Simplified_ta.inv1_0 ];
+  let _, violated =
+    compare_schema_queries ~until_sat:true ~limit:max_int
+      Models.Simplified_ta.automaton_broken_resilience Models.Simplified_ta.inv1_0
+  in
+  Alcotest.(check bool) "broken resilience: witness schema reached" true violated
+
+(* ------------------------------------------------------------------ *)
 (* Atom canonicalization (GCD-normalized equality) and hashing.         *)
 
 let test_atom_canonical_equal () =
@@ -643,6 +826,13 @@ let () =
           Alcotest.test_case "delta-rational witnesses" `Quick test_simplex_delta_exposed;
         ] );
       ("smt-props", smt_props);
+      ( "lia-front-end",
+        [
+          Alcotest.test_case "overflow takes the rational fallback" `Quick
+            test_lia_front_end_overflow;
+          Alcotest.test_case "checker query shapes" `Quick test_lia_front_end_schema_queries;
+        ] );
+      ("lia-front-end-props", front_end_props);
       ( "atom-canonical",
         [ Alcotest.test_case "gcd equality and hash" `Quick test_atom_canonical_equal ] );
       ("qcache-fingerprint", qcache_props);
